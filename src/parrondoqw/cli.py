@@ -38,6 +38,8 @@ from .walk import InitialState, evolve
 
 __all__ = ["main"]
 
+_THREADS_HELP = "accepted for compatibility and ignored: the engine runs on one thread"
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -49,13 +51,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> list[int]:
+def _positive_int_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated integer list") from None
     if not values:
         raise argparse.ArgumentTypeError("empty list")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"steps must be >= 1, got {min(values)}")
     return values
 
 
@@ -78,8 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=_positive_int, default=samples_default,
                        help=f"random initial states (default {samples_default})")
         p.add_argument("--seed", type=int, default=1, help="master RNG seed (default 1)")
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="worker threads; never changes results (default 1)")
+        p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     p = sub.add_parser("trace", help="per-step record of a single walk")
@@ -101,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="trajectory CSV from 'average'")
     p.add_argument("--tmin", type=_positive_int, default=10,
                    help="first step included in the fit (default 10)")
-    p.add_argument("--extrapolate", type=_int_list, default=[400],
+    p.add_argument("--extrapolate", type=_positive_int_list, default=[400],
                    help="comma-separated steps to predict (default 400)")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.set_defaults(run=_cmd_fit)
@@ -111,13 +114,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_positive_int, required=True, help="step at which S is recorded")
     p.add_argument("--theta-steps", type=_positive_int, default=37)
     p.add_argument("--phi-steps", type=_positive_int, default=72)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.set_defaults(run=_cmd_grid)
 
     p = sub.add_parser("compare", help="rank sequences by mean Schmidt norm")
     p.add_argument("--seqs", type=_label_list, required=True, help="comma-separated labels")
-    p.add_argument("--t-list", type=_int_list, required=True, help="comma-separated steps")
+    p.add_argument("--t-list", type=_positive_int_list, required=True,
+                   help="comma-separated steps")
     add_common(p, samples_default=1000)
     p.set_defaults(run=_cmd_compare)
 
@@ -148,6 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_trace(args) -> None:
     theta, phi = args.theta, args.phi
     if args.degrees:
+        if not 0.0 <= theta <= 180.0:
+            raise ValueError(f"theta must lie in [0, 180] degrees, got {theta!r}")
         theta = math.radians(theta)
         phi = math.radians(phi)
     sequence = parse(args.seq)
@@ -177,7 +183,7 @@ def _cmd_average(args) -> None:
         "average", __version__,
         seq=sequence.label, steps=args.steps, samples=args.samples, seed=args.seed,
     )
-    traj = average_schmidt(sequence, args.steps, args.samples, args.seed, threads=args.threads)
+    traj = average_schmidt(sequence, args.steps, args.samples, args.seed)
     rows = (
         (int(t), m, s, m / MAX_SCHMIDT_NORM)
         for t, m, s in zip(traj.steps, traj.mean_s, traj.std_s)
@@ -217,8 +223,7 @@ def _cmd_grid(args) -> None:
         seq=sequence.label, t=args.t,
         theta_steps=args.theta_steps, phi_steps=args.phi_steps,
     )
-    result = grid_schmidt(sequence, args.t, args.theta_steps, args.phi_steps,
-                          threads=args.threads)
+    result = grid_schmidt(sequence, args.t, args.theta_steps, args.phi_steps)
     rows = (
         (theta, phi, result.values[i, j])
         for i, theta in enumerate(result.theta_axis)
@@ -234,8 +239,7 @@ def _cmd_compare(args) -> None:
         seqs=[s.label for s in sequences], t_list=args.t_list,
         samples=args.samples, seed=args.seed,
     )
-    table = compare_table(sequences, args.t_list, args.samples, args.seed,
-                          threads=args.threads)
+    table = compare_table(sequences, args.t_list, args.samples, args.seed)
     rows = (
         (row.sequence_label, row.t, row.mean_s, row.mean_s_over_sqrt2)
         for row in table.rows
@@ -250,8 +254,7 @@ def _cmd_parrondo(args) -> None:
         ab=seq_ab.label, a=seq_a.label, b=seq_b.label,
         t=args.t, samples=args.samples, seed=args.seed,
     )
-    report = parrondo_check(seq_ab, seq_a, seq_b, args.t, args.samples, args.seed,
-                            threads=args.threads)
+    report = parrondo_check(seq_ab, seq_a, seq_b, args.t, args.samples, args.seed)
     write_json(
         args.out, manifest,
         {
@@ -279,8 +282,7 @@ def _cmd_search(args) -> None:
         max_period=args.max_period, t=args.t,
         samples=args.samples, seed=args.seed, top=args.top,
     )
-    table = compare_table(candidates, [args.t], args.samples, args.seed,
-                          threads=args.threads)
+    table = compare_table(candidates, [args.t], args.samples, args.seed)
     rows = table.rows if args.top is None else table.rows[: args.top]
     write_csv(
         args.out, manifest,

@@ -1,12 +1,12 @@
 """Experiment protocols: averaging sweeps, grids, fits, and sequence comparisons.
 
-All sweeps run on a batched version of the walk: amplitudes are (samples,
-positions) arrays and every sample advances in lockstep through the shared
-coin sequence.  Per-sample Schmidt norms are bitwise independent of how the
-batch is chunked (all reductions are per-row), so results never depend on
-chunk size or worker count.  Randomness enters only through
-``sample_initial_states``, which draws every angle up front from a single
-seeded generator; everything after that is deterministic.
+All sweeps run on the coin-channel engine: the walker state is linear in
+the initial coin vector, so one walk of the two basis coins gives, at each
+recorded step, the reduced coin density of every initial state
+(``_coin_channel``).  Each sample's Schmidt norm is then elementwise
+arithmetic on its own angles, bitwise independent of the rest of the batch.
+Randomness enters only through ``sample_initial_states``, which draws every
+angle up front from a single seeded generator.
 
 Fairness rule for comparisons: a shared (seed-determined) initial-state set
 is evolved under every candidate sequence, never re-sampled per candidate.
@@ -15,16 +15,15 @@ is evolved under every candidate sequence, never re-sampled per candidate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .entanglement import MAX_SCHMIDT_NORM, coin_reduction, schmidt_norm_from
+from .entanglement import MAX_SCHMIDT_NORM, schmidt_norm_from
 from .sequences import CoinSequence
-from .walk import InitialState
+from .walk import InitialState, mix_coin, shift_flip
 
 __all__ = [
     "AverageTrajectory",
@@ -42,9 +41,6 @@ __all__ = [
     "rank_sequences",
     "compare_table",
 ]
-
-#: Samples per chunk in batched sweeps; bounds transient memory only.
-DEFAULT_CHUNK_SIZE = 8192
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,8 +156,7 @@ def sample_initial_states(count: int, seed: int) -> list[InitialState]:
     """Draw ``count`` initial states, theta ~ U[0, pi] and phi ~ U[0, 2pi).
 
     All angles come from one generator seeded with ``seed`` (theta block
-    first, then phi block), so the list is reproducible and independent of
-    any downstream parallelism.
+    first, then phi block), so the list is reproducible.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -171,67 +166,73 @@ def sample_initial_states(count: int, seed: int) -> list[InitialState]:
     return [InitialState(t, p) for t, p in zip(thetas, phis)]
 
 
-def _angle_arrays(states: Sequence[InitialState]) -> tuple[NDArray, NDArray]:
+def _angle_arrays(states: Sequence[InitialState] | NDArray) -> tuple[NDArray, NDArray]:
+    """(thetas, phis) of a list of ``InitialState`` or of an (N, 2) angle array."""
+    if isinstance(states, np.ndarray):
+        if not np.all(np.isfinite(states) & (states[:, :1] >= 0.0) & (states[:, :1] <= math.pi)):
+            raise ValueError("angle arrays need finite (theta, phi) rows with theta in [0, pi]")
+        return states[:, 0], states[:, 1]
     thetas = np.array([s.theta for s in states], dtype=np.float64)
     phis = np.array([s.phi for s in states], dtype=np.float64)
     return thetas, phis
 
 
 # ---------------------------------------------------------------------------
-# Batched trajectory engine.
+# Coin-channel engine.
 # ---------------------------------------------------------------------------
 
 
-def _trajectory_chunk(
-    thetas: NDArray[np.float64],
-    phis: NDArray[np.float64],
-    sequence: CoinSequence,
-    steps: int,
-    record_steps: Sequence[int],
-) -> NDArray[np.float64]:
-    """Schmidt norm at each recorded step for a batch of initial states.
+def _coin_channel(sequence: CoinSequence, steps: int, record_steps: Sequence[int]):
+    """Yield ``(R0, R1)`` at each recorded step, the walk of every initial coin ``c``.
 
-    Returns shape (len(record_steps), batch).  The step loop is an in-place,
-    einsum-fused restatement of ``walk.mix_coin`` + ``walk.shift_flip``
-    (bitwise agreement with the single-walker path is enforced by tests);
-    every reduction is per-row, so results never depend on batch size.
+    One walk of the basis coins |0> and |1> (a (2, positions) stack) gives
+    ``amp0 = A0 c`` and ``amp1 = A1 c``, column k of A0 / A1 being basis coin
+    k's coin-0 / coin-1 plane.  With the QR factorization
+    ``[A0 A1] = Q [R0 R1]`` the populations and coherence of ``c`` are those
+    of the at most four amplitudes ``R0 c``, ``R1 c``: the Gram matrices
+    ``c^dag A0^dag A0 c`` etc. in square-root form, so a population that is
+    tiny through cancellation keeps its relative accuracy.
     """
-    batch = thetas.shape[0]
-    size = 2 * steps + 1
-    amps = np.zeros((2, batch, size), dtype=np.complex128)
-    amps[0, :, steps] = np.cos(thetas / 2.0)
-    amps[1, :, steps] = np.exp(1j * phis) * np.sin(thetas / 2.0)
-    mixed = np.empty_like(amps)
-    out = np.empty((len(record_steps), batch), dtype=np.float64)
-    row = 0
+    amp0, amp1 = np.zeros((2, 2, 2 * steps + 1), dtype=np.complex128)
+    amp0[0, steps] = 1.0
+    amp1[1, steps] = 1.0
+    recorded = set(record_steps)
     for t in range(1, steps + 1):
-        np.einsum("ab,bnp->anp", sequence.coin_at(t), amps, out=mixed)
-        amps[0, :, 0] = 0.0
-        amps[0, :, 1:] = mixed[1, :, :-1]
-        amps[1, :, -1] = 0.0
-        amps[1, :, :-1] = mixed[0, :, 1:]
-        if row < len(record_steps) and record_steps[row] == t:
-            pop0, pop1, coherence = coin_reduction(amps[0], amps[1])
-            out[row] = schmidt_norm_from(pop0, pop1, coherence)
-            row += 1
-    return out
+        amp0, amp1 = shift_flip(*mix_coin(amp0, amp1, sequence.coin_at(t)))
+        if t in recorded:
+            r = np.linalg.qr(np.concatenate((amp0, amp1)).T, mode="r")
+            yield r[:2, :2], r[:, 2:]
+
+
+def _channel_reduction(r0, r1, coin0, coin1):
+    """pop0, pop1 and coherence of the amplitudes ``R0 c``, ``R1 c``, elementwise over samples.
+
+    Rows of ``R1`` below those of ``R0`` (where ``R0 c`` is zero) add to pop1 only.
+    """
+    pop0 = pop1 = coherence = 0.0
+    for k, r in enumerate(r1):
+        amp1 = r[0] * coin0 + r[1] * coin1
+        pop1 = pop1 + (amp1.real**2 + amp1.imag**2)
+        if k < len(r0):
+            amp0 = r0[k, 0] * coin0 + r0[k, 1] * coin1
+            pop0 = pop0 + (amp0.real**2 + amp0.imag**2)
+            coherence = coherence + amp0 * np.conj(amp1)
+    return pop0, pop1, coherence
 
 
 def schmidt_trajectories(
-    states: Sequence[InitialState],
+    states: Sequence[InitialState] | NDArray[np.float64],
     sequence: CoinSequence,
     steps: int,
     record_steps: Sequence[int] | None = None,
-    threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> NDArray[np.float64]:
-    """Per-sample Schmidt norm at the recorded steps; shape (n_recorded, len(states)).
+    """Per-sample Schmidt norm at the recorded steps; shape (n_recorded, n_states).
 
-    ``record_steps`` defaults to every step 1..steps; otherwise it must be a
-    strictly increasing subset of that range (row i belongs to
-    ``record_steps[i]``).  ``threads`` bounds worker threads over sample
-    chunks.  Each sample's value is computed by per-row reductions only, so
-    the output is bitwise identical for every (threads, chunk_size) choice.
+    ``states`` is a list of ``InitialState`` or an (N, 2) array of their
+    (theta, phi) angles.  ``record_steps`` defaults to every step 1..steps;
+    otherwise it must be a strictly increasing subset of that range (row i
+    belongs to ``record_steps[i]``).  Each sample's S is bitwise independent
+    of the other samples in the batch.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -246,22 +247,11 @@ def schmidt_trajectories(
         if record_steps[0] < 1 or record_steps[-1] > steps:
             raise ValueError(f"record_steps must lie within 1..{steps}")
     thetas, phis = _angle_arrays(states)
-    n = thetas.shape[0]
-    out = np.empty((len(record_steps), n), dtype=np.float64)
-    spans = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
-
-    def run(span: tuple[int, int]) -> None:
-        lo, hi = span
-        out[:, lo:hi] = _trajectory_chunk(
-            thetas[lo:hi], phis[lo:hi], sequence, steps, record_steps
-        )
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
+    coin0 = np.cos(thetas / 2.0)
+    coin1 = np.exp(1j * phis) * np.sin(thetas / 2.0)
+    out = np.empty((len(record_steps), thetas.shape[0]), dtype=np.float64)
+    for row, (r0, r1) in enumerate(_coin_channel(sequence, steps, record_steps)):
+        out[row] = schmidt_norm_from(*_channel_reduction(r0, r1, coin0, coin1))
     return out
 
 
@@ -275,7 +265,6 @@ def average_schmidt(
     steps: int,
     samples: int,
     seed: int,
-    threads: int = 1,
 ) -> AverageTrajectory:
     """Mean Schmidt norm per step over ``samples`` random initial states.
 
@@ -284,7 +273,7 @@ def average_schmidt(
     alongside the mean so tolerances stay auditable.
     """
     states = sample_initial_states(samples, seed)
-    traj = schmidt_trajectories(states, sequence, steps, threads=threads)
+    traj = schmidt_trajectories(states, sequence, steps)
     return AverageTrajectory(
         sequence_label=sequence.label,
         samples_per_point=samples,
@@ -308,8 +297,12 @@ def log_fit(
     Raises
     ------
     ValueError
-        If fewer than 5 trajectory points satisfy ``t >= t_min``.
+        If fewer than 5 trajectory points satisfy ``t >= t_min``, or an
+        extrapolation target is below 1.
     """
+    targets = [extrapolate_to] if isinstance(extrapolate_to, int) else list(extrapolate_to)
+    if any(tt < 1 for tt in targets):
+        raise ValueError(f"extrapolation targets must be >= 1, got {targets}")
     t = np.asarray(trajectory.steps, dtype=np.float64)
     s = np.asarray(trajectory.mean_s, dtype=np.float64)
     keep = t >= t_min
@@ -322,7 +315,6 @@ def log_fit(
     s_fit = s[keep]
     a, b = np.polyfit(np.log(t_fit), s_fit, 1)
     residuals = s_fit - (a * np.log(t_fit) + b)
-    targets = [extrapolate_to] if isinstance(extrapolate_to, int) else list(extrapolate_to)
     return FitResult(
         a=float(a),
         b=float(b),
@@ -332,17 +324,20 @@ def log_fit(
     )
 
 
-def _grid_states(theta_steps: int, phi_steps: int) -> tuple[NDArray, NDArray, list[InitialState]]:
-    """Regular grid: theta in [0, pi] inclusive, phi in [0, 2pi) half-open."""
+def _grid_angles(theta_steps: int, phi_steps: int) -> tuple[NDArray, NDArray, NDArray]:
+    """Regular grid: theta in [0, pi] inclusive, phi in [0, 2pi) half-open.
+
+    Returns both axes and the (theta_steps * phi_steps, 2) array of
+    (theta, phi) cells, theta-major.
+    """
     if theta_steps < 2 or phi_steps < 2:
         raise ValueError(
             f"grid axes need >= 2 samples, got theta_steps={theta_steps} phi_steps={phi_steps}"
         )
     theta_axis = np.linspace(0.0, math.pi, theta_steps)
     phi_axis = np.linspace(0.0, TWO_PI, phi_steps, endpoint=False)
-    tt, pp = np.meshgrid(theta_axis, phi_axis, indexing="ij")
-    states = [InitialState(t, p) for t, p in zip(tt.ravel(), pp.ravel())]
-    return theta_axis, phi_axis, states
+    angles = np.stack(np.meshgrid(theta_axis, phi_axis, indexing="ij", copy=False), axis=-1)
+    return theta_axis, phi_axis, angles.reshape(-1, 2)
 
 
 def grid_schmidt(
@@ -350,11 +345,10 @@ def grid_schmidt(
     t: int,
     theta_steps: int,
     phi_steps: int,
-    threads: int = 1,
 ) -> GridResult:
     """Schmidt norm at step ``t`` on a regular (theta, phi) grid; deterministic."""
-    theta_axis, phi_axis, states = _grid_states(theta_steps, phi_steps)
-    traj = schmidt_trajectories(states, sequence, t, record_steps=[t], threads=threads)
+    theta_axis, phi_axis, angles = _grid_angles(theta_steps, phi_steps)
+    traj = schmidt_trajectories(angles, sequence, t, record_steps=[t])
     return GridResult(
         sequence_label=sequence.label,
         t=t,
@@ -369,15 +363,14 @@ def phase_independence_certificate(
     t_max: int,
     theta_samples: int = 37,
     phi_samples: int = 72,
-    threads: int = 1,
 ) -> NDArray[np.float64]:
     """Per-step max deviation of S across phi, ``dev[t-1] = max |S(t,theta,phi) - S(t,theta,phi0)|``.
 
     A sequence counts as phase-independent up to ``t_max`` when every entry is
     below the working tolerance (1e-10 throughout this package).
     """
-    _, _, states = _grid_states(theta_samples, phi_samples)
-    traj = schmidt_trajectories(states, sequence, t_max, threads=threads)
+    _, _, angles = _grid_angles(theta_samples, phi_samples)
+    traj = schmidt_trajectories(angles, sequence, t_max)
     grids = traj.reshape(t_max, theta_samples, phi_samples)
     return np.max(np.abs(grids - grids[:, :, :1]), axis=(1, 2))
 
@@ -386,12 +379,9 @@ def _means_at_steps(
     states: Sequence[InitialState],
     sequence: CoinSequence,
     step_list: Sequence[int],
-    threads: int,
 ) -> list[float]:
     recorded = sorted(set(step_list))
-    traj = schmidt_trajectories(
-        states, sequence, recorded[-1], record_steps=recorded, threads=threads
-    )
+    traj = schmidt_trajectories(states, sequence, recorded[-1], record_steps=recorded)
     means = {t: float(traj[i].mean()) for i, t in enumerate(recorded)}
     return [means[t] for t in step_list]
 
@@ -403,7 +393,6 @@ def parrondo_check(
     t: int,
     samples: int,
     seed: int,
-    threads: int = 1,
 ) -> ParrondoReport:
     """Does the two-coin sequence beat both of its single-coin parents at step t?
 
@@ -414,9 +403,9 @@ def parrondo_check(
         if not seq.is_single_coin():
             raise ValueError(f"baseline sequence {role!r} must be single-coin, got {seq.label!r}")
     states = sample_initial_states(samples, seed)
-    mean_ab, = _means_at_steps(states, seq_ab, [t], threads)
-    mean_a, = _means_at_steps(states, seq_a, [t], threads)
-    mean_b, = _means_at_steps(states, seq_b, [t], threads)
+    mean_ab, = _means_at_steps(states, seq_ab, [t])
+    mean_a, = _means_at_steps(states, seq_a, [t])
+    mean_b, = _means_at_steps(states, seq_b, [t])
     return ParrondoReport(
         sequence_label=seq_ab.label,
         single_a_label=seq_a.label,
@@ -435,7 +424,6 @@ def compare_table(
     step_list: Sequence[int],
     samples: int,
     seed: int,
-    threads: int = 1,
 ) -> ComparisonTable:
     """Mean S for every candidate at every requested step, on one shared sample set.
 
@@ -447,7 +435,7 @@ def compare_table(
         raise ValueError("need at least one step value")
     states = sample_initial_states(samples, seed)
     per_seq = {
-        seq.label: _means_at_steps(states, seq, step_list, threads)
+        seq.label: _means_at_steps(states, seq, step_list)
         for seq in candidates
     }
     rows = [
@@ -464,7 +452,6 @@ def rank_sequences(
     t: int,
     samples: int,
     seed: int,
-    threads: int = 1,
 ) -> ComparisonTable:
     """Candidates ranked by mean S at step ``t`` (shared sample set)."""
-    return compare_table(candidates, [t], samples, seed, threads=threads)
+    return compare_table(candidates, [t], samples, seed)

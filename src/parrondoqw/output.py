@@ -112,7 +112,8 @@ def read_average_csv(path: str):
     """Load a trajectory CSV written by the ``average`` command.
 
     Returns (manifest_or_None, AverageTrajectory).  Raises ValueError on
-    malformed input (missing columns, non-numeric cells, no data rows).
+    malformed input (missing columns, non-numeric or non-finite cells, no
+    data rows).
     """
     from .experiments import AverageTrajectory
 
@@ -141,9 +142,12 @@ def read_average_csv(path: str):
                     f"{path}:{line_no}: expected {len(header)} columns, got {len(cells)}"
                 )
             try:
-                data.append([float(c) for c in cells])
+                values = [float(c) for c in cells]
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: non-numeric cell ({exc})") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}:{line_no}: non-finite cell in {line!r}")
+            data.append(values)
     if header is None or not data:
         raise ValueError(f"{path}: no trajectory data found")
     for required in ("t", "mean_S"):

@@ -121,7 +121,8 @@ class WalkerState:
 
 # ---------------------------------------------------------------------------
 # Array-level kernels.  These operate on the LAST axis so the same code drives
-# both the single-walker path below and the batched sweeps in `experiments`.
+# both the single-walker path below and the basis-coin walk of the
+# coin-channel engine in `experiments`.
 # ---------------------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ import pytest
 from parrondoqw.cli import main
 from parrondoqw.entanglement import closed_form_oracle
 from parrondoqw.experiments import (
-    _grid_states,
+    _grid_angles,
     average_schmidt,
     log_fit,
     phase_independence_certificate,
@@ -48,7 +48,8 @@ def test_criterion_1_maximal_entanglement_at_steps_3_and_5():
 
 def test_criterion_2_closed_form_oracle_suite():
     start = time.perf_counter()
-    _, _, states = _grid_states(GRID_THETA, GRID_PHI)
+    _, _, angles = _grid_angles(GRID_THETA, GRID_PHI)
+    states = [InitialState(theta, phi) for theta, phi in angles]
     worst = 0.0
     xxh = schmidt_trajectories(states, parse("XXH"), 6)
     for i, initial in enumerate(states):
@@ -84,7 +85,7 @@ def _phase_shift_deviations(roll_f: int, roll_m: int, phase_sign: int) -> float:
     On the 72-point phi axis one grid cell is 5 degrees, so a +pi/2 argument
     shift is a roll of -18 cells and a -pi/2 shift a roll of +18.
     """
-    theta_axis, phi_axis, _ = _grid_states(GRID_THETA, GRID_PHI)
+    theta_axis, phi_axis, _ = _grid_angles(GRID_THETA, GRID_PHI)
     states = [InitialState(theta, phase_sign * phi) for theta in theta_axis for phi in phi_axis]
     record = [1, 5, 20, 50]
     shape = (len(record), GRID_THETA, GRID_PHI)

@@ -80,6 +80,13 @@ def test_trace_rejects_bad_sequence():
     assert run("trace", "--seq", "XQZ", "--theta", 0, "--steps", 2) == 1
 
 
+def test_trace_degrees_range_error_is_in_degrees(capsys):
+    assert run("trace", "--seq", "H", "--theta", 200, "--degrees", "--steps", 2) == 1
+    err = capsys.readouterr().err
+    assert "[0, 180] degrees" in err and "200" in err
+    assert "3.49" not in err
+
+
 # ---------------------------------------------------------------------------
 # average
 # ---------------------------------------------------------------------------
@@ -147,6 +154,26 @@ def test_fit_insufficient_points_fails_cleanly(tmp_path):
     assert run("fit", "--in", traj, "--tmin", 139) == 1
 
 
+def test_fit_rejects_non_finite_cells(tmp_path, capsys):
+    for cell in ("nan", "inf", "-inf"):
+        bad = tmp_path / f"{cell}.csv"
+        out = tmp_path / f"{cell}.json"
+        bad.write_text(f"t,mean_S,std_S\n1,1.1,0\n2,{cell},0\n")
+        assert run("fit", "--in", bad, "--tmin", 1, "--out", out) == 1
+        assert f"{bad}:3: non-finite cell" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "400,0"])
+def test_fit_extrapolate_rejects_non_positive_steps(tmp_path, capsys, value):
+    traj = tmp_path / "traj.csv"
+    _write_log_csv(traj)
+    with pytest.raises(SystemExit) as excinfo:
+        run("fit", "--in", traj, "--extrapolate", value)
+    assert excinfo.value.code == 2
+    assert "argument --extrapolate: steps must be >= 1" in capsys.readouterr().err
+
+
 def test_fit_rejects_malformed_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,mean_S\n1,notanumber\n")
@@ -203,6 +230,14 @@ def test_compare_xxh_is_maximal_at_3_and_5(tmp_path):
     for row in rows:
         if row[seq_idx] == "XXH":
             assert float(row[ratio_idx]) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("value", ["0", "3,0", "-2"])
+def test_compare_t_list_rejects_non_positive_steps(capsys, value):
+    with pytest.raises(SystemExit) as excinfo:
+        run("compare", "--seqs", "XXH", "--t-list", value, "--samples", 10)
+    assert excinfo.value.code == 2
+    assert "argument --t-list: steps must be >= 1" in capsys.readouterr().err
 
 
 def test_parrondo_verdict_json(tmp_path):

@@ -15,7 +15,9 @@ from parrondoqw.experiments import (
     sample_initial_states,
     schmidt_trajectories,
 )
+from parrondoqw.entanglement import coin_reduction, schmidt_norm_from
 from parrondoqw.sequences import parse
+from parrondoqw.walk import InitialState, dense_reference_evolve
 
 SQRT2 = math.sqrt(2.0)
 
@@ -54,15 +56,51 @@ def test_sampling_rejects_bad_count():
 # ---------------------------------------------------------------------------
 
 
-def test_trajectories_bitwise_stable_under_chunking_and_threads():
+def test_trajectories_bitwise_independent_of_batch_composition():
+    # Each sample's S is elementwise arithmetic on its own angles, so any
+    # sub-batch or reordering gives bitwise the same per-sample values.
     states = sample_initial_states(300, seed=5)
     sequence = parse("XHF")
     baseline = schmidt_trajectories(states, sequence, 12)
-    for chunk, threads in ((7, 1), (64, 3), (299, 2)):
-        other = schmidt_trajectories(
-            states, sequence, 12, chunk_size=chunk, threads=threads
-        )
-        assert np.array_equal(baseline, other)
+    order = np.random.default_rng(0).permutation(len(states))
+    permuted = schmidt_trajectories([states[i] for i in order], sequence, 12)
+    assert np.array_equal(permuted, baseline[:, order])
+    for part in (slice(0, 1), slice(0, 7), slice(5, 69), slice(1, 300), slice(None, None, 3)):
+        other = schmidt_trajectories(states[part], sequence, 12)
+        assert np.array_equal(other, baseline[:, part])
+    angles = np.array([(s.theta, s.phi) for s in states])
+    assert np.array_equal(schmidt_trajectories(angles, sequence, 12), baseline)
+    assert np.array_equal(schmidt_trajectories(angles[::-1], sequence, 12), baseline[:, ::-1])
+
+
+def _dense_schmidt(initial, sequence, t):
+    vec = dense_reference_evolve(initial, sequence, t)
+    return float(schmidt_norm_from(*coin_reduction(vec[0::2], vec[1::2])))
+
+
+def test_trajectories_match_dense_reference_near_product_states():
+    # Initial states at and next to the poles, and states that one H or F
+    # step takes next to a product state (|S - 1| ~ eps/2): the populations
+    # must keep their relative accuracy, not only their absolute one.
+    states = [InitialState(theta, 1.3) for theta in (0.0, 1e-12, 1e-8, math.pi - 1e-8, math.pi)]
+    states += [InitialState(math.pi / 2, math.pi + 1e-8),
+               InitialState(math.pi / 2 + 1e-8, math.pi),
+               InitialState(math.pi / 2, math.pi / 2 + 1e-8),
+               InitialState(math.pi / 2, math.pi + 1e-12)]
+    worst = 0.0
+    for label in ("H", "F", "M", "X", "XXH", "MMF", "FMX"):
+        sequence = parse(label)
+        values = schmidt_trajectories(states, sequence, 20)
+        for i, initial in enumerate(states):
+            for t in range(1, 21):
+                worst = max(worst, abs(values[t - 1, i] - _dense_schmidt(initial, sequence, t)))
+    assert worst < 1e-14
+
+
+def test_trajectories_reject_bad_angle_arrays():
+    for bad in ([[0.5, np.nan]], [[-0.1, 0.0]], [[math.pi + 1e-9, 0.0]], [[np.inf, 1.0]]):
+        with pytest.raises(ValueError, match="theta in \\[0, pi\\]"):
+            schmidt_trajectories(np.array(bad), parse("H"), 3)
 
 
 def test_trajectories_record_steps_subset():
@@ -99,11 +137,14 @@ def test_xxh_average_is_maximal_at_step_3():
     assert trajectory.std_s[2] < 1e-10
 
 
-def test_average_reproducible_and_thread_invariant():
+def test_average_reproducible_and_matches_engine():
     a = average_schmidt(parse("MMF"), 15, 50, seed=3)
-    b = average_schmidt(parse("MMF"), 15, 50, seed=3, threads=4)
+    b = average_schmidt(parse("MMF"), 15, 50, seed=3)
     np.testing.assert_array_equal(a.mean_s, b.mean_s)
     np.testing.assert_array_equal(a.std_s, b.std_s)
+    traj = schmidt_trajectories(sample_initial_states(50, seed=3), parse("MMF"), 15)
+    np.testing.assert_array_equal(a.mean_s, traj.mean(axis=1))
+    np.testing.assert_array_equal(a.std_s, traj.std(axis=1))
 
 
 def test_average_mean_within_physical_bounds():
@@ -142,6 +183,12 @@ def test_log_fit_flat_series_has_zero_slope():
 def test_log_fit_requires_five_points():
     with pytest.raises(ValueError, match="insufficient"):
         log_fit(_synthetic(0.1, 1.0, steps=10), t_min=7, extrapolate_to=50)
+
+
+def test_log_fit_rejects_targets_below_one():
+    for targets in (0, -5, [10, 0]):
+        with pytest.raises(ValueError, match="extrapolation targets must be >= 1"):
+            log_fit(_synthetic(0.1, 1.2), t_min=1, extrapolate_to=targets)
 
 
 def test_log_fit_multiple_targets_and_clipping():
