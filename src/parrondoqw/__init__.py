@@ -3,17 +3,11 @@
 Simulates 1D coin-then-shift walks (with the coin-flipping shift), measures
 coin-position entanglement via the Schmidt norm, and runs seeded averaging,
 grid, fitting, and comparison experiments over deterministic coin sequences.
+The test oracles live in ``parrondoqw.oracles``, which is not imported here.
 """
 
 from .coins import ALPHABET, CoinParams, build_coin, named_coin, verify_unitarity
-from .entanglement import (
-    MAX_SCHMIDT_NORM,
-    EntanglementRecord,
-    closed_form_oracle,
-    reduced_density,
-    schmidt_norm,
-    schmidt_norm_from,
-)
+from .entanglement import MAX_SCHMIDT_NORM, eigenvalues_from, schmidt_norm_from
 from .experiments import (
     AverageTrajectory,
     ComparisonTable,
@@ -21,27 +15,17 @@ from .experiments import (
     GridResult,
     ParrondoReport,
     average_schmidt,
+    coin_densities,
     compare_table,
     grid_schmidt,
     log_fit,
     parrondo_check,
     phase_independence_certificate,
-    rank_sequences,
     sample_initial_states,
     schmidt_trajectories,
 )
 from .sequences import CoinSequence, enumerate_patterns, parse
-from .walk import (
-    InitialState,
-    WalkerState,
-    apply_coin,
-    apply_shift,
-    dense_reference_evolve,
-    evolve,
-    final_state,
-    prepare,
-    step,
-)
+from .walk import InitialState, basis_walk
 
 __version__ = "0.1.0"
 
@@ -52,36 +36,26 @@ __all__ = [
     "CoinParams",
     "CoinSequence",
     "ComparisonTable",
-    "EntanglementRecord",
     "FitResult",
     "GridResult",
     "InitialState",
     "ParrondoReport",
-    "WalkerState",
-    "apply_coin",
-    "apply_shift",
     "average_schmidt",
+    "basis_walk",
     "build_coin",
-    "closed_form_oracle",
+    "coin_densities",
     "compare_table",
-    "dense_reference_evolve",
+    "eigenvalues_from",
     "enumerate_patterns",
-    "evolve",
-    "final_state",
     "grid_schmidt",
     "log_fit",
     "named_coin",
     "parrondo_check",
     "parse",
     "phase_independence_certificate",
-    "prepare",
-    "rank_sequences",
-    "reduced_density",
     "sample_initial_states",
-    "schmidt_norm",
     "schmidt_norm_from",
     "schmidt_trajectories",
-    "step",
     "verify_unitarity",
     "__version__",
 ]

@@ -24,9 +24,10 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .entanglement import MAX_SCHMIDT_NORM, reduced_density
+from .entanglement import MAX_SCHMIDT_NORM, eigenvalues_from
 from .experiments import (
     average_schmidt,
+    coin_densities,
     compare_table,
     grid_schmidt,
     log_fit,
@@ -34,11 +35,14 @@ from .experiments import (
 )
 from .output import make_manifest, read_average_csv, write_csv, write_json
 from .sequences import enumerate_patterns, parse
-from .walk import InitialState, evolve
+from .walk import InitialState
 
 __all__ = ["main"]
 
 _THREADS_HELP = "accepted for compatibility and ignored: the engine runs on one thread"
+
+#: Namespace entries that are not experiment parameters, so not in the manifest.
+_NOT_PARAMS = frozenset({"command", "run", "out", "threads", "degrees"})
 
 
 def _positive_int(text: str) -> int:
@@ -145,8 +149,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations.
+# Command implementations.  Each one first writes the canonical form of its
+# parameters back into ``args`` (sequence labels, radians, ...), so that
+# ``_manifest`` records what was run, not how it was spelled.
 # ---------------------------------------------------------------------------
+
+
+def _manifest(args) -> dict:
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+    return make_manifest(args.command, __version__, **params)
 
 
 def _cmd_trace(args) -> None:
@@ -158,20 +169,18 @@ def _cmd_trace(args) -> None:
         phi = math.radians(phi)
     sequence = parse(args.seq)
     initial = InitialState(theta, phi)
-    manifest = make_manifest(
-        "trace", __version__,
-        seq=sequence.label, theta=theta, phi=initial.phi, steps=args.steps,
-    )
+    args.seq, args.theta, args.phi = sequence.label, theta, initial.phi
     rows = []
-    for state in evolve(initial, sequence, args.steps):
-        rec = reduced_density(state)
+    densities = coin_densities([[initial.theta, initial.phi]], sequence, args.steps)
+    for t, (pop0, pop1, coherence) in enumerate(densities, start=1):
+        pop0, pop1, coherence = pop0[0], pop1[0], coherence[0]
+        e_minus, e_plus = eigenvalues_from(pop0, pop1, coherence)
         rows.append((
-            rec.step, rec.schmidt_norm, rec.pop0, rec.pop1,
-            rec.coherence.real, rec.coherence.imag,
-            rec.eigen_minus, rec.eigen_plus,
+            t, math.sqrt(e_minus) + math.sqrt(e_plus), pop0, pop1,
+            coherence.real, coherence.imag, e_minus, e_plus,
         ))
     write_csv(
-        args.out, manifest,
+        args.out, _manifest(args),
         ["t", "S", "pop0", "pop1", "re_coherence", "im_coherence", "E_minus", "E_plus"],
         rows,
     )
@@ -179,28 +188,21 @@ def _cmd_trace(args) -> None:
 
 def _cmd_average(args) -> None:
     sequence = parse(args.seq)
-    manifest = make_manifest(
-        "average", __version__,
-        seq=sequence.label, steps=args.steps, samples=args.samples, seed=args.seed,
-    )
+    args.seq = sequence.label
     traj = average_schmidt(sequence, args.steps, args.samples, args.seed)
     rows = (
         (int(t), m, s, m / MAX_SCHMIDT_NORM)
         for t, m, s in zip(traj.steps, traj.mean_s, traj.std_s)
     )
-    write_csv(args.out, manifest, ["t", "mean_S", "std_S", "mean_S_over_sqrt2"], rows)
+    write_csv(args.out, _manifest(args), ["t", "mean_S", "std_S", "mean_S_over_sqrt2"], rows)
 
 
 def _cmd_fit(args) -> None:
     input_manifest, traj = read_average_csv(args.input)
     fit = log_fit(traj, t_min=args.tmin, extrapolate_to=args.extrapolate)
-    manifest = make_manifest(
-        "fit", __version__,
-        input=args.input, tmin=args.tmin, extrapolate=args.extrapolate,
-    )
     ratios = dict(fit.extrapolation_ratios())
     write_json(
-        args.out, manifest,
+        args.out, _manifest(args),
         {
             "a": fit.a,
             "b": fit.b,
@@ -218,45 +220,33 @@ def _cmd_fit(args) -> None:
 
 def _cmd_grid(args) -> None:
     sequence = parse(args.seq)
-    manifest = make_manifest(
-        "grid", __version__,
-        seq=sequence.label, t=args.t,
-        theta_steps=args.theta_steps, phi_steps=args.phi_steps,
-    )
+    args.seq = sequence.label
     result = grid_schmidt(sequence, args.t, args.theta_steps, args.phi_steps)
     rows = (
         (theta, phi, result.values[i, j])
         for i, theta in enumerate(result.theta_axis)
         for j, phi in enumerate(result.phi_axis)
     )
-    write_csv(args.out, manifest, ["theta", "phi", "S"], rows)
+    write_csv(args.out, _manifest(args), ["theta", "phi", "S"], rows)
 
 
 def _cmd_compare(args) -> None:
     sequences = [parse(label) for label in args.seqs]
-    manifest = make_manifest(
-        "compare", __version__,
-        seqs=[s.label for s in sequences], t_list=args.t_list,
-        samples=args.samples, seed=args.seed,
-    )
+    args.seqs = [s.label for s in sequences]
     table = compare_table(sequences, args.t_list, args.samples, args.seed)
     rows = (
         (row.sequence_label, row.t, row.mean_s, row.mean_s_over_sqrt2)
         for row in table.rows
     )
-    write_csv(args.out, manifest, ["sequence", "t", "mean_S", "mean_S_over_sqrt2"], rows)
+    write_csv(args.out, _manifest(args), ["sequence", "t", "mean_S", "mean_S_over_sqrt2"], rows)
 
 
 def _cmd_parrondo(args) -> None:
     seq_ab, seq_a, seq_b = parse(args.ab), parse(args.a), parse(args.b)
-    manifest = make_manifest(
-        "parrondo", __version__,
-        ab=seq_ab.label, a=seq_a.label, b=seq_b.label,
-        t=args.t, samples=args.samples, seed=args.seed,
-    )
+    args.ab, args.a, args.b = seq_ab.label, seq_a.label, seq_b.label
     report = parrondo_check(seq_ab, seq_a, seq_b, args.t, args.samples, args.seed)
     write_json(
-        args.out, manifest,
+        args.out, _manifest(args),
         {
             "sequence": report.sequence_label,
             "single_a": report.single_a_label,
@@ -276,16 +266,11 @@ def _cmd_parrondo(args) -> None:
 
 def _cmd_search(args) -> None:
     candidates = enumerate_patterns(args.alphabet, args.max_period)
-    manifest = make_manifest(
-        "search", __version__,
-        alphabet="".join(sorted(set(args.alphabet.upper()))),
-        max_period=args.max_period, t=args.t,
-        samples=args.samples, seed=args.seed, top=args.top,
-    )
+    args.alphabet = "".join(sorted(set(args.alphabet.upper())))
     table = compare_table(candidates, [args.t], args.samples, args.seed)
     rows = table.rows if args.top is None else table.rows[: args.top]
     write_csv(
-        args.out, manifest,
+        args.out, _manifest(args),
         ["sequence", "t", "mean_S", "mean_S_over_sqrt2"],
         ((r.sequence_label, r.t, r.mean_s, r.mean_s_over_sqrt2) for r in rows),
     )

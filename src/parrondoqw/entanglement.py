@@ -17,6 +17,10 @@ S is 1 for a product state and sqrt(2) for a maximally entangled one.  The
 eigenvalues always come from this closed form, never a generic eigensolver:
 it is exact, branch-free, and vectorizes.
 
+The populations and coherence of every walk come from
+``experiments.coin_densities``; this module turns them into eigenvalues and
+S.
+
 Numerical form: with ``det = pop0*pop1 - |coherence|^2`` (the determinant of
 rho_C, clamped into [0, 1/4]) the eigenvalues are evaluated as
 
@@ -24,76 +28,34 @@ rho_C, clamped into [0, 1/4]) the eigenvalues are evaluated as
 
 Algebraically E_minus equals ``1/2 - |n|``, but that subtraction cancels
 catastrophically near product states, where S has a square-root singularity;
-because pop1 is summed directly (full relative precision even at 1e-33 scale)
+because pop1 is summed from its own amplitudes (full relative precision even
+at 1e-33 scale)
 while ``1 - pop0`` carries absolute rounding of order 1e-16, the quotient
 form keeps S accurate to ~1e-15 where the naive radicand
 ``1/4 - pop0*(1 - pop0) + |coherence|^2`` is only good to ~1e-8.  |n| itself
 is evaluated from the Bloch components (small quantities are squared before
 anything large is subtracted), which also makes the reported eigenvalues and
 Bloch vector mutually consistent to ~1e-15 for normalized states.
-
-``closed_form_oracle`` provides independently derived analytic values of S
-for the XXH-family sequences at steps 1..6 and for single H/F/M steps, used
-to validate the simulated pipeline end to end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
-from .walk import InitialState, WalkerState
-
-__all__ = [
-    "EntanglementRecord",
-    "coin_reduction",
-    "schmidt_norm_from",
-    "reduced_density",
-    "schmidt_norm",
-    "closed_form_oracle",
-    "MAX_SCHMIDT_NORM",
-]
+__all__ = ["eigenvalues_from", "schmidt_norm_from", "MAX_SCHMIDT_NORM"]
 
 #: Schmidt norm of a maximally entangled coin-position state.
 MAX_SCHMIDT_NORM = math.sqrt(2.0)
 
-_SQRT2 = math.sqrt(2.0)
 
+def eigenvalues_from(pop0, pop1, coherence):
+    """Reduced-density eigenvalues (E_minus, E_plus), elementwise.
 
-@dataclass(frozen=True)
-class EntanglementRecord:
-    """Reduced-coin-density summary of a walker state at one step."""
-
-    step: int
-    pop0: float
-    pop1: float
-    coherence: complex
-    bloch: tuple[float, float, float]
-    eigen_minus: float
-    eigen_plus: float
-    schmidt_norm: float
-
-
-# ---------------------------------------------------------------------------
-# Vectorized kernels (sum over the last axis; leading axes = batch).
-# ---------------------------------------------------------------------------
-
-
-def coin_reduction(
-    amp0: NDArray[np.complex128], amp1: NDArray[np.complex128]
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.complex128]]:
-    """Populations and coherence of amplitude arrays (position = last axis)."""
-    pop0 = np.sum(amp0.real**2 + amp0.imag**2, axis=-1)
-    pop1 = np.sum(amp1.real**2 + amp1.imag**2, axis=-1)
-    coherence = np.sum(amp0 * np.conj(amp1), axis=-1)
-    return pop0, pop1, coherence
-
-
-def _eigenvalues_from(pop0, pop1, coherence):
-    """Reduced-density eigenvalues (E_minus, E_plus), elementwise."""
+    ``|n|`` is clamped to at most 1/2 and ``det`` into [0, 1/4], so rounding
+    in the inputs never yields a negative eigenvalue or a NaN.
+    """
     coherence = np.asarray(coherence)
     coherence_sq = coherence.real**2 + coherence.imag**2
     bloch_len_sq = coherence_sq + (0.5 * (pop0 - pop1)) ** 2
@@ -105,87 +67,5 @@ def _eigenvalues_from(pop0, pop1, coherence):
 
 def schmidt_norm_from(pop0, pop1, coherence):
     """Schmidt norm from populations and coherence (elementwise)."""
-    e_minus, e_plus = _eigenvalues_from(pop0, pop1, coherence)
+    e_minus, e_plus = eigenvalues_from(pop0, pop1, coherence)
     return np.sqrt(e_minus) + np.sqrt(e_plus)
-
-
-# ---------------------------------------------------------------------------
-# Record-level interface.
-# ---------------------------------------------------------------------------
-
-
-def reduced_density(state: WalkerState) -> EntanglementRecord:
-    """Full entanglement record of a (normalized) walker state."""
-    pop0, pop1, coherence = coin_reduction(state.amp0, state.amp1)
-    pop0 = float(pop0)
-    pop1 = float(pop1)
-    coherence = complex(coherence)
-    e_minus, e_plus = _eigenvalues_from(pop0, pop1, coherence)
-    e_minus = float(e_minus)
-    e_plus = float(e_plus)
-    return EntanglementRecord(
-        step=state.step_count,
-        pop0=pop0,
-        pop1=pop1,
-        coherence=coherence,
-        bloch=(coherence.real, coherence.imag, 0.5 * (pop0 - pop1)),
-        eigen_minus=e_minus,
-        eigen_plus=e_plus,
-        schmidt_norm=math.sqrt(e_minus) + math.sqrt(e_plus),
-    )
-
-
-def schmidt_norm(record: EntanglementRecord) -> float:
-    """Schmidt norm recomputed from a record's populations and coherence."""
-    return float(schmidt_norm_from(record.pop0, record.pop1, record.coherence))
-
-
-# ---------------------------------------------------------------------------
-# Analytic oracle.
-# ---------------------------------------------------------------------------
-
-_XXH_FAMILY = frozenset({"XXH", "XXF", "XXM"})
-_SINGLE_STEP = frozenset({"H", "F", "M"})
-
-
-def closed_form_oracle(sequence_tag: str, t: int, initial: InitialState) -> float:
-    """Analytic Schmidt norm for the tabulated (sequence, step) pairs.
-
-    Covered: the XXH family (tags ``XXH``, ``XXF``, ``XXM``) at steps 1..6,
-    and single-coin tags ``H``, ``F``, ``M`` at step 1.  The XXH-family values
-    depend only on ``theta`` (the family is phase-independent); the one-step
-    values depend on ``sin(theta)`` times ``cos(phi)``, ``sin(phi)`` and
-    ``-sin(phi)`` for H, F, M respectively.
-
-    Raises
-    ------
-    ValueError
-        For any (sequence_tag, t) pair outside the table.
-    """
-    tag = sequence_tag.upper()
-    theta = initial.theta
-    phi = initial.phi
-    if tag in _XXH_FAMILY:
-        if t in (1, 2):
-            return (math.sqrt(1.0 - math.cos(theta)) + math.sqrt(1.0 + math.cos(theta))) / _SQRT2
-        if t in (3, 5):
-            return _SQRT2
-        if t == 4:
-            return 0.5 * (math.sqrt(2.0 + math.sin(theta)) + math.sqrt(2.0 - math.sin(theta)))
-        if t == 6:
-            return (math.sqrt(4.0 + math.sin(theta)) + math.sqrt(4.0 - math.sin(theta))) / (2.0 * _SQRT2)
-        raise ValueError(f"no closed form for {tag} at step {t}: table covers steps 1..6")
-    if tag in _SINGLE_STEP:
-        if t != 1:
-            raise ValueError(f"no closed form for {tag} at step {t}: table covers step 1 only")
-        if tag == "H":
-            u = math.sin(theta) * math.cos(phi)
-        elif tag == "F":
-            u = math.sin(theta) * math.sin(phi)
-        else:  # M
-            u = -math.sin(theta) * math.sin(phi)
-        return (math.sqrt(1.0 + u) + math.sqrt(1.0 - u)) / _SQRT2
-    raise ValueError(
-        f"no closed form for sequence {sequence_tag!r}: "
-        f"supported tags are {sorted(_XXH_FAMILY | _SINGLE_STEP)}"
-    )

@@ -1,12 +1,13 @@
 """Experiment protocols: averaging sweeps, grids, fits, and sequence comparisons.
 
-All sweeps run on the coin-channel engine: the walker state is linear in
-the initial coin vector, so one walk of the two basis coins gives, at each
+Every quantity runs on the coin-channel engine: the walker state is linear
+in the initial coin vector, so one ``walk.basis_walk`` gives, at each
 recorded step, the reduced coin density of every initial state
-(``_coin_channel``).  Each sample's Schmidt norm is then elementwise
-arithmetic on its own angles, bitwise independent of the rest of the batch.
-Randomness enters only through ``sample_initial_states``, which draws every
-angle up front from a single seeded generator.
+(``coin_densities``).  Each sample's populations, coherence and Schmidt norm
+are then elementwise arithmetic on its own angles, bitwise independent of the
+rest of the batch.  Initial states travel as ``(N, 2)`` arrays of
+``(theta, phi)``.  Randomness enters only through ``sample_initial_states``,
+which draws every angle up front from a single seeded generator.
 
 Fairness rule for comparisons: a shared (seed-determined) initial-state set
 is evolved under every candidate sequence, never re-sampled per candidate.
@@ -23,7 +24,7 @@ from numpy.typing import NDArray
 
 from .entanglement import MAX_SCHMIDT_NORM, schmidt_norm_from
 from .sequences import CoinSequence
-from .walk import InitialState, mix_coin, shift_flip
+from .walk import basis_walk
 
 __all__ = [
     "AverageTrajectory",
@@ -33,12 +34,13 @@ __all__ = [
     "ComparisonTable",
     "ParrondoReport",
     "sample_initial_states",
+    "coin_densities",
+    "schmidt_trajectories",
     "average_schmidt",
     "log_fit",
     "grid_schmidt",
     "parrondo_check",
     "phase_independence_certificate",
-    "rank_sequences",
     "compare_table",
 ]
 
@@ -152,29 +154,29 @@ class ParrondoReport:
 # ---------------------------------------------------------------------------
 
 
-def sample_initial_states(count: int, seed: int) -> list[InitialState]:
-    """Draw ``count`` initial states, theta ~ U[0, pi] and phi ~ U[0, 2pi).
+def sample_initial_states(count: int, seed: int) -> NDArray[np.float64]:
+    """Draw ``count`` initial states as a (count, 2) array of (theta, phi).
 
-    All angles come from one generator seeded with ``seed`` (theta block
-    first, then phi block), so the list is reproducible.
+    theta ~ U[0, pi] and phi ~ U[0, 2pi).  All angles come from one generator
+    seeded with ``seed`` (theta block first, then phi block), so the array is
+    reproducible.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, math.pi, count)
     phis = rng.uniform(0.0, TWO_PI, count)
-    return [InitialState(t, p) for t, p in zip(thetas, phis)]
+    return np.stack((thetas, phis), axis=1)
 
 
-def _angle_arrays(states: Sequence[InitialState] | NDArray) -> tuple[NDArray, NDArray]:
-    """(thetas, phis) of a list of ``InitialState`` or of an (N, 2) angle array."""
-    if isinstance(states, np.ndarray):
-        if not np.all(np.isfinite(states) & (states[:, :1] >= 0.0) & (states[:, :1] <= math.pi)):
-            raise ValueError("angle arrays need finite (theta, phi) rows with theta in [0, pi]")
-        return states[:, 0], states[:, 1]
-    thetas = np.array([s.theta for s in states], dtype=np.float64)
-    phis = np.array([s.phi for s in states], dtype=np.float64)
-    return thetas, phis
+def _angle_arrays(states) -> tuple[NDArray, NDArray]:
+    """(thetas, phis) of an (N, 2) array (or nested list) of (theta, phi) rows."""
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 2 or states.shape[1] != 2:
+        raise ValueError(f"angle arrays need shape (N, 2) of (theta, phi) rows, got {states.shape}")
+    if not np.all(np.isfinite(states) & (states[:, :1] >= 0.0) & (states[:, :1] <= math.pi)):
+        raise ValueError("angle arrays need finite (theta, phi) rows with theta in [0, pi]")
+    return states[:, 0], states[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +187,16 @@ def _angle_arrays(states: Sequence[InitialState] | NDArray) -> tuple[NDArray, ND
 def _coin_channel(sequence: CoinSequence, steps: int, record_steps: Sequence[int]):
     """Yield ``(R0, R1)`` at each recorded step, the walk of every initial coin ``c``.
 
-    One walk of the basis coins |0> and |1> (a (2, positions) stack) gives
-    ``amp0 = A0 c`` and ``amp1 = A1 c``, column k of A0 / A1 being basis coin
-    k's coin-0 / coin-1 plane.  With the QR factorization
+    One ``basis_walk`` (a (2, positions) stack) gives ``amp0 = A0 c`` and
+    ``amp1 = A1 c``, column k of A0 / A1 being basis coin k's coin-0 / coin-1
+    plane.  With the QR factorization
     ``[A0 A1] = Q [R0 R1]`` the populations and coherence of ``c`` are those
-    of the at most four amplitudes ``R0 c``, ``R1 c``: the Gram matrices
+    of the at most six amplitudes ``R0 c``, ``R1 c``: the Gram matrices
     ``c^dag A0^dag A0 c`` etc. in square-root form, so a population that is
     tiny through cancellation keeps its relative accuracy.
     """
-    amp0, amp1 = np.zeros((2, 2, 2 * steps + 1), dtype=np.complex128)
-    amp0[0, steps] = 1.0
-    amp1[1, steps] = 1.0
     recorded = set(record_steps)
-    for t in range(1, steps + 1):
-        amp0, amp1 = shift_flip(*mix_coin(amp0, amp1, sequence.coin_at(t)))
+    for t, (amp0, amp1) in enumerate(basis_walk(sequence, steps), start=1):
         if t in recorded:
             r = np.linalg.qr(np.concatenate((amp0, amp1)).T, mode="r")
             yield r[:2, :2], r[:, 2:]
@@ -220,19 +218,19 @@ def _channel_reduction(r0, r1, coin0, coin1):
     return pop0, pop1, coherence
 
 
-def schmidt_trajectories(
-    states: Sequence[InitialState] | NDArray[np.float64],
+def coin_densities(
+    states,
     sequence: CoinSequence,
     steps: int,
     record_steps: Sequence[int] | None = None,
-) -> NDArray[np.float64]:
-    """Per-sample Schmidt norm at the recorded steps; shape (n_recorded, n_states).
+):
+    """Yield ``(pop0, pop1, coherence)`` of every state, one recorded step at a time.
 
-    ``states`` is a list of ``InitialState`` or an (N, 2) array of their
-    (theta, phi) angles.  ``record_steps`` defaults to every step 1..steps;
-    otherwise it must be a strictly increasing subset of that range (row i
-    belongs to ``record_steps[i]``).  Each sample's S is bitwise independent
-    of the other samples in the batch.
+    ``states`` is an (N, 2) array, or nested list, of (theta, phi) rows with
+    theta in [0, pi]; each yielded array has shape (N,).  ``record_steps``
+    defaults to every step 1..steps; otherwise it must be a strictly
+    increasing subset of that range.  Only one step's values are alive at a
+    time, so a consumer that reduces each step keeps O(N) memory.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -249,9 +247,26 @@ def schmidt_trajectories(
     thetas, phis = _angle_arrays(states)
     coin0 = np.cos(thetas / 2.0)
     coin1 = np.exp(1j * phis) * np.sin(thetas / 2.0)
-    out = np.empty((len(record_steps), thetas.shape[0]), dtype=np.float64)
-    for row, (r0, r1) in enumerate(_coin_channel(sequence, steps, record_steps)):
-        out[row] = schmidt_norm_from(*_channel_reduction(r0, r1, coin0, coin1))
+    for r0, r1 in _coin_channel(sequence, steps, record_steps):
+        yield _channel_reduction(r0, r1, coin0, coin1)
+
+
+def schmidt_trajectories(
+    states,
+    sequence: CoinSequence,
+    steps: int,
+    record_steps: Sequence[int] | None = None,
+) -> NDArray[np.float64]:
+    """Per-sample Schmidt norm at the recorded steps; shape (n_recorded, n_states).
+
+    Arguments are those of ``coin_densities``; row i belongs to
+    ``record_steps[i]``.  Each sample's S is bitwise independent of the other
+    samples in the batch.
+    """
+    record_steps = range(1, steps + 1) if record_steps is None else list(record_steps)
+    out = np.empty((len(record_steps), len(states)), dtype=np.float64)
+    for row, densities in enumerate(coin_densities(states, sequence, steps, record_steps)):
+        out[row] = schmidt_norm_from(*densities)
     return out
 
 
@@ -270,17 +285,22 @@ def average_schmidt(
 
     One evolution per sample records S at every step of 1..steps; nothing is
     re-sampled per step.  Standard deviation (population, ddof=0) is kept
-    alongside the mean so tolerances stay auditable.
+    alongside the mean so tolerances stay auditable.  Each step's S values
+    are reduced as they come, so memory is O(samples), not O(steps*samples).
     """
     states = sample_initial_states(samples, seed)
-    traj = schmidt_trajectories(states, sequence, steps)
+    mean_s, std_s = [], []
+    for densities in coin_densities(states, sequence, steps):
+        values = schmidt_norm_from(*densities)
+        mean_s.append(values.mean())
+        std_s.append(values.std())
     return AverageTrajectory(
         sequence_label=sequence.label,
         samples_per_point=samples,
         seed=seed,
         steps=np.arange(1, steps + 1),
-        mean_s=traj.mean(axis=1),
-        std_s=traj.std(axis=1),
+        mean_s=np.array(mean_s),
+        std_s=np.array(std_s),
     )
 
 
@@ -375,17 +395,6 @@ def phase_independence_certificate(
     return np.max(np.abs(grids - grids[:, :, :1]), axis=(1, 2))
 
 
-def _means_at_steps(
-    states: Sequence[InitialState],
-    sequence: CoinSequence,
-    step_list: Sequence[int],
-) -> list[float]:
-    recorded = sorted(set(step_list))
-    traj = schmidt_trajectories(states, sequence, recorded[-1], record_steps=recorded)
-    means = {t: float(traj[i].mean()) for i, t in enumerate(recorded)}
-    return [means[t] for t in step_list]
-
-
 def parrondo_check(
     seq_ab: CoinSequence,
     seq_a: CoinSequence,
@@ -402,10 +411,8 @@ def parrondo_check(
     for seq, role in ((seq_a, "a"), (seq_b, "b")):
         if not seq.is_single_coin():
             raise ValueError(f"baseline sequence {role!r} must be single-coin, got {seq.label!r}")
-    states = sample_initial_states(samples, seed)
-    mean_ab, = _means_at_steps(states, seq_ab, [t])
-    mean_a, = _means_at_steps(states, seq_a, [t])
-    mean_b, = _means_at_steps(states, seq_b, [t])
+    table = compare_table([seq_ab, seq_a, seq_b], [t], samples, seed)
+    means = {row.sequence_label: row.mean_s for row in table.rows}
     return ParrondoReport(
         sequence_label=seq_ab.label,
         single_a_label=seq_a.label,
@@ -413,9 +420,9 @@ def parrondo_check(
         t=t,
         samples=samples,
         seed=seed,
-        mean_combined=mean_ab,
-        mean_a=mean_a,
-        mean_b=mean_b,
+        mean_combined=means[seq_ab.label],
+        mean_a=means[seq_a.label],
+        mean_b=means[seq_b.label],
     )
 
 
@@ -428,30 +435,23 @@ def compare_table(
     """Mean S for every candidate at every requested step, on one shared sample set.
 
     Rows are ordered by step, then descending mean, ties broken by label.
+    Rows are keyed by label and step: a repeated label gives one set of rows,
+    a repeated step repeats its rows.
     """
     if not candidates:
         raise ValueError("need at least one candidate sequence")
     if not step_list:
         raise ValueError("need at least one step value")
     states = sample_initial_states(samples, seed)
-    per_seq = {
-        seq.label: _means_at_steps(states, seq, step_list)
-        for seq in candidates
-    }
+    recorded = sorted(set(step_list))
+    means = {}
+    for seq in candidates:
+        traj = schmidt_trajectories(states, seq, recorded[-1], record_steps=recorded)
+        means[seq.label] = {t: float(row.mean()) for t, row in zip(recorded, traj)}
     rows = [
-        ComparisonRow(label, int(t), means[i])
-        for i, t in enumerate(step_list)
-        for label, means in per_seq.items()
+        ComparisonRow(label, int(t), per_step[t])
+        for t in step_list
+        for label, per_step in means.items()
     ]
     rows.sort(key=lambda r: (r.t, -r.mean_s, r.sequence_label))
     return ComparisonTable(rows=rows, samples=samples, seed=seed)
-
-
-def rank_sequences(
-    candidates: Sequence[CoinSequence],
-    t: int,
-    samples: int,
-    seed: int,
-) -> ComparisonTable:
-    """Candidates ranked by mean S at step ``t`` (shared sample set)."""
-    return compare_table(candidates, [t], samples, seed)

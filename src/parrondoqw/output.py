@@ -113,13 +113,15 @@ def read_average_csv(path: str):
 
     Returns (manifest_or_None, AverageTrajectory).  Raises ValueError on
     malformed input (missing columns, non-numeric or non-finite cells, no
-    data rows).
+    data rows, a ``t`` that is not a positive integer or does not increase
+    from row to row).
     """
     from .experiments import AverageTrajectory
 
     manifest = None
     header: list[str] | None = None
     data: list[list[float]] = []
+    line_numbers: list[int] = []
     with open(path, "r", encoding="utf-8") as stream:
         for line_no, raw in enumerate(stream, start=1):
             line = raw.strip()
@@ -148,13 +150,22 @@ def read_average_csv(path: str):
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{path}:{line_no}: non-finite cell in {line!r}")
             data.append(values)
+            line_numbers.append(line_no)
     if header is None or not data:
         raise ValueError(f"{path}: no trajectory data found")
     for required in ("t", "mean_S"):
         if required not in header:
             raise ValueError(f"{path}: missing required column {required!r}")
-    table = np.asarray(data)
     t_col = header.index("t")
+    previous = 0.0
+    for line_no, values in zip(line_numbers, data):
+        t = values[t_col]
+        if t < 1 or t != math.floor(t):
+            raise ValueError(f"{path}:{line_no}: t must be a positive integer, got {t!r}")
+        if t <= previous:
+            raise ValueError(f"{path}:{line_no}: t must increase from row to row, got {t:g} after {previous:g}")
+        previous = t
+    table = np.asarray(data)
     mean_col = header.index("mean_S")
     std = (
         table[:, header.index("std_S")]

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from parrondoqw.cli import main
-from parrondoqw.entanglement import closed_form_oracle
 from parrondoqw.experiments import (
     _grid_angles,
     average_schmidt,
@@ -21,8 +20,9 @@ from parrondoqw.experiments import (
     sample_initial_states,
     schmidt_trajectories,
 )
+from parrondoqw.oracles import closed_form_oracle, dense_reference_evolve
 from parrondoqw.sequences import parse
-from parrondoqw.walk import InitialState, dense_reference_evolve, final_state
+from parrondoqw.walk import InitialState, basis_walk
 
 SQRT2 = math.sqrt(2.0)
 GRID_THETA, GRID_PHI = 37, 72
@@ -51,12 +51,12 @@ def test_criterion_2_closed_form_oracle_suite():
     _, _, angles = _grid_angles(GRID_THETA, GRID_PHI)
     states = [InitialState(theta, phi) for theta, phi in angles]
     worst = 0.0
-    xxh = schmidt_trajectories(states, parse("XXH"), 6)
+    xxh = schmidt_trajectories(angles, parse("XXH"), 6)
     for i, initial in enumerate(states):
         for t in range(1, 7):
             worst = max(worst, abs(xxh[t - 1][i] - closed_form_oracle("XXH", t, initial)))
     for tag in ("H", "F", "M"):
-        one = schmidt_trajectories(states, parse(tag), 1)
+        one = schmidt_trajectories(angles, parse(tag), 1)
         for i, initial in enumerate(states):
             worst = max(worst, abs(one[0][i] - closed_form_oracle(tag, 1, initial)))
     elapsed = time.perf_counter() - start
@@ -79,14 +79,18 @@ def test_criterion_3_phase_independence_certificates():
 def _phase_shift_deviations(roll_f: int, roll_m: int, phase_sign: int) -> float:
     """Worst |S_FFF - S_HHH(shifted)| and |S_MMM - S_HHH(shifted)| deviation.
 
-    Grid column phi holds ``InitialState(theta, phase_sign * phi)``: +1 is the
-    package's ``e^{+i phi}`` convention, -1 the ``e^{-i phi}`` one.  The phi
-    axis is closed under phi -> -phi mod 2pi, so both grids share their cells.
+    Grid column phi holds the angles of
+    ``InitialState(theta, phase_sign * phi)``: +1 is the package's
+    ``e^{+i phi}`` convention, -1 the ``e^{-i phi}`` one.  The phi axis is
+    closed under phi -> -phi mod 2pi, so both grids share their cells.
     On the 72-point phi axis one grid cell is 5 degrees, so a +pi/2 argument
     shift is a roll of -18 cells and a -pi/2 shift a roll of +18.
     """
     theta_axis, phi_axis, _ = _grid_angles(GRID_THETA, GRID_PHI)
-    states = [InitialState(theta, phase_sign * phi) for theta in theta_axis for phi in phi_axis]
+    states = np.array([
+        (initial.theta, initial.phi)
+        for initial in (InitialState(theta, phase_sign * phi) for theta in theta_axis for phi in phi_axis)
+    ])
     record = [1, 5, 20, 50]
     shape = (len(record), GRID_THETA, GRID_PHI)
     g_h = schmidt_trajectories(states, parse("HHH"), 50, record_steps=record).reshape(shape)
@@ -182,9 +186,11 @@ def test_criterion_9_dense_oracle_equivalence():
         label = "".join(rng.choice(list("HFMX"), size=rng.integers(1, 5)))
         initial = InitialState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         sequence = parse(label)
-        fast = final_state(initial, sequence, 20).to_vector()
+        *_, (amp0, amp1) = basis_walk(sequence, 20)
+        c = initial.coin_amplitudes()
         dense = dense_reference_evolve(initial, sequence, 20)
-        worst = max(worst, float(np.max(np.abs(fast - dense))))
+        worst = max(worst, float(np.max(np.abs(c[0] * amp0[0] + c[1] * amp0[1] - dense[0::2]))),
+                    float(np.max(np.abs(c[0] * amp1[0] + c[1] * amp1[1] - dense[1::2]))))
     _report(9, worst < 1e-12,
             f"fast vs dense evolution: worst componentwise deviation {worst:.2e} "
             f"over 50 random (sequence, state) pairs at 20 steps")

@@ -174,6 +174,23 @@ def test_fit_extrapolate_rejects_non_positive_steps(tmp_path, capsys, value):
     assert "argument --extrapolate: steps must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_cells, bad_line, message", [
+    ("30,25,20,15,10.7,12,14", 3, "t must increase from row to row, got 25 after 30"),
+    ("10,11,12.5,13,14,15", 4, "t must be a positive integer, got 12.5"),
+    ("0,1,2,3,4,5", 2, "t must be a positive integer, got 0.0"),
+    ("-3,1,2,3,4,5", 2, "t must be a positive integer, got -3.0"),
+    ("1,2,3,3,4,5", 5, "t must increase from row to row, got 3 after 3"),
+], ids=["unsorted", "non-integer", "zero", "negative", "repeated"])
+def test_fit_rejects_bad_t_column(tmp_path, capsys, t_cells, bad_line, message):
+    bad = tmp_path / "bad.csv"
+    out = tmp_path / "fit.json"
+    rows = [f"{t},1.3,0" for t in t_cells.split(",")]
+    bad.write_text("t,mean_S,std_S\n" + "\n".join(rows) + "\n")
+    assert run("fit", "--in", bad, "--tmin", 1, "--out", out) == 1
+    assert f"{bad}:{bad_line}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_rejects_malformed_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,mean_S\n1,notanumber\n")
@@ -291,3 +308,63 @@ def test_stdout_output(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("# manifest:")
     assert "t,S," in captured.out
+
+
+# ---------------------------------------------------------------------------
+# manifests: one builder for all seven commands
+# ---------------------------------------------------------------------------
+
+# Recorded before the commands shared one manifest builder; the parameters
+# are canonical (labels upper-cased, alphabet sorted, trace angles in
+# radians with phi in [0, 2pi)) and never include --out, --threads or
+# --degrees.
+MANIFESTS = {
+    "trace": (
+        ["trace", "--seq", "xxh...", "--theta", "90", "--phi", "-90", "--degrees", "--steps", "3"],
+        '{"command": "trace", "params": {"phi": 4.71238898038469, "seq": "XXH", "steps": 3, '
+        '"theta": 1.5707963267948966}, "version": "0.1.0"}',
+    ),
+    "average": (
+        ["average", "--seq", "mmf", "--steps", "4", "--samples", "5", "--seed", "3", "--threads", "2"],
+        '{"command": "average", "params": {"samples": 5, "seed": 3, "seq": "MMF", "steps": 4}, '
+        '"version": "0.1.0"}',
+    ),
+    "fit": (
+        ["fit", "--in", "traj.csv", "--tmin", "5", "--extrapolate", "400,1000"],
+        '{"command": "fit", "params": {"extrapolate": [400, 1000], "input": "traj.csv", "tmin": 5}, '
+        '"version": "0.1.0"}',
+    ),
+    "grid": (
+        ["grid", "--seq", "hx", "--t", "3", "--theta-steps", "3", "--phi-steps", "4", "--threads", "2"],
+        '{"command": "grid", "params": {"phi_steps": 4, "seq": "HX", "t": 3, "theta_steps": 3}, '
+        '"version": "0.1.0"}',
+    ),
+    "compare": (
+        ["compare", "--seqs", "xxh...,HHH", "--t-list", "3,5", "--samples", "10", "--seed", "2"],
+        '{"command": "compare", "params": {"samples": 10, "seed": 2, "seqs": ["XXH", "HHH"], '
+        '"t_list": [3, 5]}, "version": "0.1.0"}',
+    ),
+    "parrondo": (
+        ["parrondo", "--ab", "xxh", "--a", "x", "--b", "h", "--t", "5", "--samples", "10", "--threads", "2"],
+        '{"command": "parrondo", "params": {"a": "X", "ab": "XXH", "b": "H", "samples": 10, "seed": 1, '
+        '"t": 5}, "version": "0.1.0"}',
+    ),
+    "search": (
+        ["search", "--alphabet", "xhfm", "--max-period", "2", "--t", "4", "--samples", "10"],
+        '{"command": "search", "params": {"alphabet": "FHMX", "max_period": 2, "samples": 10, '
+        '"seed": 1, "t": 4, "top": null}, "version": "0.1.0"}',
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFESTS))
+def test_manifest_is_pinned(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    _write_log_csv(tmp_path / "traj.csv")
+    argv, expected = MANIFESTS[command]
+    assert run(*argv) == 0
+    text = capsys.readouterr().out
+    if command in ("fit", "parrondo"):
+        assert json.dumps(json.loads(text)["manifest"], sort_keys=True) == expected
+    else:
+        assert text.splitlines()[0] == f"# manifest: {expected}"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from parrondoqw.experiments import (
     log_fit,
     parrondo_check,
     phase_independence_certificate,
-    rank_sequences,
     sample_initial_states,
     schmidt_trajectories,
 )
-from parrondoqw.entanglement import coin_reduction, schmidt_norm_from
+from parrondoqw.entanglement import schmidt_norm_from
+from parrondoqw.oracles import dense_reference_evolve
 from parrondoqw.sequences import parse
-from parrondoqw.walk import InitialState, dense_reference_evolve
+from parrondoqw.walk import InitialState
 
 SQRT2 = math.sqrt(2.0)
 
@@ -30,18 +31,21 @@ SQRT2 = math.sqrt(2.0)
 def test_sampling_is_deterministic():
     first = sample_initial_states(3, seed=42)
     second = sample_initial_states(3, seed=42)
-    assert [(s.theta, s.phi) for s in first] == [(s.theta, s.phi) for s in second]
+    assert first.shape == (3, 2)
+    assert np.array_equal(first, second)
 
 
 def test_sampling_respects_ranges():
-    for state in sample_initial_states(500, seed=0):
-        assert 0.0 <= state.theta <= math.pi
-        assert 0.0 <= state.phi < 2 * math.pi
+    angles = sample_initial_states(500, seed=0)
+    assert np.all((0.0 <= angles[:, 0]) & (angles[:, 0] <= math.pi))
+    assert np.all((0.0 <= angles[:, 1]) & (angles[:, 1] < 2 * math.pi))
+    # phi is already canonical: InitialState leaves every sample unchanged
+    for theta, phi in angles:
+        assert InitialState(theta, phi).phi == phi
 
 
 def test_sampling_mean_theta_matches_uniform_moments():
-    states = sample_initial_states(10**5, seed=7)
-    thetas = np.array([s.theta for s in states])
+    thetas = sample_initial_states(10**5, seed=7)[:, 0]
     three_sigma = 3.0 * (math.pi / math.sqrt(12.0)) / math.sqrt(len(thetas))
     assert abs(thetas.mean() - math.pi / 2) < three_sigma
 
@@ -63,19 +67,22 @@ def test_trajectories_bitwise_independent_of_batch_composition():
     sequence = parse("XHF")
     baseline = schmidt_trajectories(states, sequence, 12)
     order = np.random.default_rng(0).permutation(len(states))
-    permuted = schmidt_trajectories([states[i] for i in order], sequence, 12)
+    permuted = schmidt_trajectories(states[order], sequence, 12)
     assert np.array_equal(permuted, baseline[:, order])
     for part in (slice(0, 1), slice(0, 7), slice(5, 69), slice(1, 300), slice(None, None, 3)):
         other = schmidt_trajectories(states[part], sequence, 12)
         assert np.array_equal(other, baseline[:, part])
-    angles = np.array([(s.theta, s.phi) for s in states])
-    assert np.array_equal(schmidt_trajectories(angles, sequence, 12), baseline)
-    assert np.array_equal(schmidt_trajectories(angles[::-1], sequence, 12), baseline[:, ::-1])
+    as_list = [[float(theta), float(phi)] for theta, phi in states]
+    assert np.array_equal(schmidt_trajectories(as_list, sequence, 12), baseline)
+    assert np.array_equal(schmidt_trajectories(states[::-1], sequence, 12), baseline[:, ::-1])
 
 
 def _dense_schmidt(initial, sequence, t):
     vec = dense_reference_evolve(initial, sequence, t)
-    return float(schmidt_norm_from(*coin_reduction(vec[0::2], vec[1::2])))
+    amp0, amp1 = vec[0::2], vec[1::2]
+    pop0 = np.sum(amp0.real**2 + amp0.imag**2)
+    pop1 = np.sum(amp1.real**2 + amp1.imag**2)
+    return float(schmidt_norm_from(pop0, pop1, np.sum(amp0 * np.conj(amp1))))
 
 
 def test_trajectories_match_dense_reference_near_product_states():
@@ -87,10 +94,11 @@ def test_trajectories_match_dense_reference_near_product_states():
                InitialState(math.pi / 2 + 1e-8, math.pi),
                InitialState(math.pi / 2, math.pi / 2 + 1e-8),
                InitialState(math.pi / 2, math.pi + 1e-12)]
+    angles = np.array([(s.theta, s.phi) for s in states])
     worst = 0.0
     for label in ("H", "F", "M", "X", "XXH", "MMF", "FMX"):
         sequence = parse(label)
-        values = schmidt_trajectories(states, sequence, 20)
+        values = schmidt_trajectories(angles, sequence, 20)
         for i, initial in enumerate(states):
             for t in range(1, 21):
                 worst = max(worst, abs(values[t - 1, i] - _dense_schmidt(initial, sequence, t)))
@@ -101,6 +109,9 @@ def test_trajectories_reject_bad_angle_arrays():
     for bad in ([[0.5, np.nan]], [[-0.1, 0.0]], [[math.pi + 1e-9, 0.0]], [[np.inf, 1.0]]):
         with pytest.raises(ValueError, match="theta in \\[0, pi\\]"):
             schmidt_trajectories(np.array(bad), parse("H"), 3)
+    for bad in (np.array([0.5, 1.0, 2.0]), np.full((3, 3), 0.5)):
+        with pytest.raises(ValueError, match="shape \\(N, 2\\)"):
+            schmidt_trajectories(bad, parse("H"), 3)
 
 
 def test_trajectories_record_steps_subset():
@@ -152,6 +163,18 @@ def test_average_mean_within_physical_bounds():
     assert np.all(trajectory.mean_s >= 1.0 - 1e-12)
     assert np.all(trajectory.mean_s <= SQRT2 + 1e-12)
     assert np.all(np.diff(trajectory.steps) > 0)
+
+
+def test_average_memory_is_bounded_by_samples():
+    # 400 steps x 5000 samples of S alone would take 16 MB; reducing each
+    # step as it comes keeps the peak at a few (N,) arrays.
+    tracemalloc.start()
+    try:
+        average_schmidt(parse("XXX"), 400, 5000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +270,7 @@ def test_phase_independence_certificate_contrast():
 
 
 # ---------------------------------------------------------------------------
-# parrondo_check / rank_sequences
+# parrondo_check / compare_table
 # ---------------------------------------------------------------------------
 
 
@@ -271,22 +294,22 @@ def test_parrondo_rejects_multi_coin_baseline():
 
 
 def test_rank_sequences_orders_by_mean():
-    table = rank_sequences([parse("XXH"), parse("HHH"), parse("XXX")], t=3,
-                           samples=200, seed=8)
+    table = compare_table([parse("XXH"), parse("HHH"), parse("XXX")], [3],
+                          samples=200, seed=8)
     assert table.rows[0].sequence_label == "XXH"
     assert table.rows[0].mean_s == pytest.approx(SQRT2, abs=1e-10)
     assert table.rows[0].mean_s >= table.rows[1].mean_s >= table.rows[2].mean_s
 
 
 def test_rank_single_candidate():
-    table = rank_sequences([parse("H")], t=4, samples=30, seed=2)
+    table = compare_table([parse("H")], [4], samples=30, seed=2)
     assert len(table.rows) == 1
     assert table.rows[0].sequence_label == "H"
 
 
 def test_xxh_family_members_rank_identically():
-    table = rank_sequences([parse("XXH"), parse("XXF"), parse("XXM")], t=14,
-                           samples=150, seed=6)
+    table = compare_table([parse("XXH"), parse("XXF"), parse("XXM")], [14],
+                          samples=150, seed=6)
     means = [row.mean_s for row in table.rows]
     assert max(means) - min(means) < 1e-10
     # exact ties fall back to lexicographic labels

@@ -6,25 +6,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parrondoqw.coins import named_coin
-from parrondoqw.entanglement import reduced_density
+from parrondoqw.experiments import coin_densities, schmidt_trajectories
+from parrondoqw.oracles import dense_reference_evolve
 from parrondoqw.sequences import parse
-from parrondoqw.walk import (
-    InitialState,
-    WalkerState,
-    apply_coin,
-    apply_shift,
-    dense_reference_evolve,
-    evolve,
-    final_state,
-    prepare,
-    step,
-)
+from parrondoqw.walk import InitialState, basis_walk, mix_coin, shift_flip
 
 SQRT2 = math.sqrt(2.0)
 
 theta_st = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
 phi_st = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True, allow_nan=False)
 pattern_st = st.lists(st.sampled_from("HFMX"), min_size=1, max_size=4)
+
+
+def _planes(initial, sequence, steps):
+    """(amp0, amp1) of the walk from ``initial`` after ``steps`` steps, from the basis walk."""
+    *_, (amp0, amp1) = basis_walk(sequence, steps)
+    c0, c1 = initial.coin_amplitudes()
+    return c0 * amp0[0] + c1 * amp0[1], c0 * amp1[0] + c1 * amp1[1]
+
+
+def _vector(initial, sequence, steps):
+    """The same walk in the dense oracle's ordering ``vec[2*(j+steps) + c]``."""
+    amp0, amp1 = _planes(initial, sequence, steps)
+    vec = np.empty(2 * amp0.size, dtype=np.complex128)
+    vec[0::2] = amp0
+    vec[1::2] = amp1
+    return vec
+
+
+def _empty_planes(size):
+    """Two empty coin planes of ``size`` cells."""
+    amp = np.zeros(size, dtype=complex)
+    return amp, amp.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -51,193 +64,191 @@ def test_initial_state_rejects_non_finite():
 
 
 # ---------------------------------------------------------------------------
-# prepare
+# Initial coin amplitudes and the basis walk's window
 # ---------------------------------------------------------------------------
 
 
 def test_prepare_pure_coin0():
-    state = prepare(InitialState(0.0, 1.23), max_steps=4)
-    assert state.amplitude(0, 0) == 1.0
-    assert state.norm_squared() == pytest.approx(1.0, abs=1e-15)
-    assert state.step_count == 0
-    assert state.window_radius >= 4
+    assert InitialState(0.0, 1.23).coin_amplitudes() == (1.0, 0.0)
+    amp0, amp1 = _planes(InitialState(0.0, 1.23), parse("XX"), 4)
+    assert amp0.shape == amp1.shape == (9,)
+    assert np.sum(np.abs(amp0) ** 2 + np.abs(amp1) ** 2) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_prepare_pure_coin1():
-    state = prepare(InitialState(math.pi, 0.0), max_steps=3)
-    assert abs(state.amplitude(0, 1) - 1.0) < 1e-15
-    assert abs(state.amplitude(0, 0)) < 1e-15
+    c0, c1 = InitialState(math.pi, 0.0).coin_amplitudes()
+    assert abs(c1 - 1.0) < 1e-15
+    assert abs(c0) < 1e-15
 
 
 def test_prepare_equal_superposition_with_phase():
-    state = prepare(InitialState(math.pi / 2, math.pi / 2), max_steps=2)
-    assert state.amplitude(0, 0) == pytest.approx(1 / SQRT2)
-    assert state.amplitude(0, 1) == pytest.approx(1j / SQRT2)
+    c0, c1 = InitialState(math.pi / 2, math.pi / 2).coin_amplitudes()
+    assert c0 == pytest.approx(1 / SQRT2)
+    assert c1 == pytest.approx(1j / SQRT2)
 
 
 def test_prepare_rejects_bad_step_budget():
-    with pytest.raises(ValueError):
-        prepare(InitialState(0.0, 0.0), max_steps=0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            next(basis_walk(parse("H"), bad))
 
 
 # ---------------------------------------------------------------------------
-# apply_coin / apply_shift / step
+# mix_coin / shift_flip / one basis-walk step
 # ---------------------------------------------------------------------------
 
 
 def test_apply_coin_flip():
-    state = prepare(InitialState(0.0, 0.0), max_steps=2)
-    flipped = apply_coin(state, named_coin("X"))
-    assert flipped.amplitude(0, 1) == 1.0
-    assert flipped.amplitude(0, 0) == 0.0
+    amp0, amp1 = _empty_planes(5)
+    amp0[2] = 1.0
+    flip0, flip1 = mix_coin(amp0, amp1, named_coin("X"))
+    assert flip1[2] == 1.0
+    assert flip0[2] == 0.0
 
 
 def test_apply_coin_hadamard_column():
-    state = prepare(InitialState(0.0, 0.0), max_steps=2)
-    mixed = apply_coin(state, named_coin("H"))
-    assert mixed.amplitude(0, 0) == pytest.approx(1 / SQRT2)
-    assert mixed.amplitude(0, 1) == pytest.approx(1 / SQRT2)
+    amp0, amp1 = _empty_planes(5)
+    amp0[2] = 1.0
+    mixed0, mixed1 = mix_coin(amp0, amp1, named_coin("H"))
+    assert mixed0[2] == pytest.approx(1 / SQRT2)
+    assert mixed1[2] == pytest.approx(1 / SQRT2)
 
 
 def test_apply_coin_identity_is_noop():
-    state = prepare(InitialState(1.0, 2.0), max_steps=2)
-    same = apply_coin(state, np.eye(2, dtype=complex))
-    np.testing.assert_array_equal(same.amp0, state.amp0)
-    np.testing.assert_array_equal(same.amp1, state.amp1)
+    rng = np.random.default_rng(4)
+    amp0 = rng.normal(size=5) + 1j * rng.normal(size=5)
+    amp1 = rng.normal(size=5) + 1j * rng.normal(size=5)
+    same0, same1 = mix_coin(amp0, amp1, np.eye(2, dtype=complex))
+    np.testing.assert_array_equal(same0, amp0)
+    np.testing.assert_array_equal(same1, amp1)
 
 
 def test_shift_moves_coin1_right_as_coin0():
-    state = prepare(InitialState(math.pi, 0.0), max_steps=2)  # amp1(0) = 1
-    shifted = apply_shift(state)
-    assert abs(shifted.amplitude(1, 0) - 1.0) < 1e-15
-    assert shifted.amplitude(0, 1) == 0.0
+    amp0, amp1 = _empty_planes(5)
+    amp1[2] = 1.0
+    shifted0, shifted1 = shift_flip(amp0, amp1)
+    assert shifted0[3] == 1.0
+    assert not shifted1.any()
 
 
 def test_shift_moves_coin0_left_as_coin1():
-    state = prepare(InitialState(0.0, 0.0), max_steps=2)  # amp0(0) = 1
-    shifted = apply_shift(state)
-    assert shifted.amplitude(-1, 1) == 1.0
-    assert shifted.amplitude(0, 0) == 0.0
+    amp0, amp1 = _empty_planes(5)
+    amp0[2] = 1.0
+    shifted0, shifted1 = shift_flip(amp0, amp1)
+    assert shifted1[1] == 1.0
+    assert not shifted0.any()
 
 
 def test_full_x_step_streams_coin0_right():
-    state = prepare(InitialState(0.0, 0.0), max_steps=2)
-    stepped = step(state, named_coin("X"))
-    assert stepped.amplitude(1, 0) == 1.0
-    assert stepped.step_count == 1
-
-
-def test_shift_boundary_overflow_guard():
-    size = 2 * 3 + 1
-    state = WalkerState(
-        np.zeros(size, dtype=complex), np.zeros(size, dtype=complex),
-        window_radius=3, step_count=3,
-    )
-    with pytest.raises(ValueError, match="boundary overflow"):
-        apply_shift(state)
+    (amp0, amp1), = basis_walk(parse("X"), 1)
+    # window -1..1: basis coin |0> moves to +1 as coin 0, |1> to -1 as coin 1
+    np.testing.assert_array_equal(amp0, [[0, 0, 1], [0, 0, 0]])
+    np.testing.assert_array_equal(amp1, [[0, 0, 0], [1, 0, 0]])
 
 
 def test_hadamard_step_from_pole_is_maximally_entangling():
-    state = prepare(InitialState(0.0, 0.0), max_steps=1)
-    record = reduced_density(step(state, named_coin("H")))
-    assert record.pop0 == pytest.approx(0.5, abs=1e-15)
-    assert record.pop1 == pytest.approx(0.5, abs=1e-15)
-    assert record.coherence == 0.0
-    assert record.schmidt_norm == pytest.approx(SQRT2, abs=1e-15)
+    (pop0, pop1, coherence), = coin_densities([[0.0, 0.0]], parse("H"), 1)
+    assert pop0[0] == pytest.approx(0.5, abs=1e-15)
+    assert pop1[0] == pytest.approx(0.5, abs=1e-15)
+    assert coherence[0] == 0.0
+    assert schmidt_trajectories([[0.0, 0.0]], parse("H"), 1)[0, 0] == pytest.approx(SQRT2, abs=1e-15)
 
 
 def test_double_x_step_preserves_schmidt_norm():
-    for theta, phi in ((0.7, 1.1), (2.2, 4.0), (math.pi / 2, 0.0)):
-        one = final_state(InitialState(theta, phi), parse("X"), 1)
-        two = final_state(InitialState(theta, phi), parse("X"), 2)
-        assert reduced_density(two).schmidt_norm == pytest.approx(
-            reduced_density(one).schmidt_norm, abs=1e-14
-        )
+    angles = np.array([(0.7, 1.1), (2.2, 4.0), (math.pi / 2, 0.0)])
+    one, two = schmidt_trajectories(angles, parse("X"), 2)
+    np.testing.assert_allclose(two, one, rtol=0, atol=1e-14)
 
 
 def test_six_xxh_steps_match_paper_value():
-    state = final_state(InitialState(math.pi / 2, 0.3), parse("XXH"), 6)
+    value = schmidt_trajectories([[math.pi / 2, 0.3]], parse("XXH"), 6, record_steps=[6])[0, 0]
     expected = (math.sqrt(5.0) + math.sqrt(3.0)) / (2.0 * SQRT2)
-    assert reduced_density(state).schmidt_norm == pytest.approx(expected, abs=1e-12)
+    assert value == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# evolve
+# basis_walk
 # ---------------------------------------------------------------------------
 
 
 def test_x_walk_streams_fully_right():
-    state = final_state(InitialState(0.0, 0.0), parse("X"), 5)
-    assert state.amplitude(5, 0) == 1.0
-    assert state.norm_squared() == pytest.approx(1.0, abs=1e-15)
+    amp0, amp1 = _planes(InitialState(0.0, 0.0), parse("X"), 5)
+    assert amp0[5 + 5] == 1.0
+    assert np.sum(np.abs(amp0) ** 2 + np.abs(amp1) ** 2) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_three_xxh_steps_occupy_four_positions():
-    state = final_state(InitialState(1.0, 2.0), parse("XXH"), 3)
-    support = {
-        int(j)
-        for j in state.positions()
-        if abs(state.amplitude(int(j), 0)) > 1e-14 or abs(state.amplitude(int(j), 1)) > 1e-14
-    }
-    assert support == {3, 1, -1, -3}
+    amp0, amp1 = _planes(InitialState(1.0, 2.0), parse("XXH"), 3)
+    occupied = (np.abs(amp0) > 1e-14) | (np.abs(amp1) > 1e-14)
+    assert set(np.flatnonzero(occupied) - 3) == {3, 1, -1, -3}
 
 
 def test_one_hadamard_step_is_normalized():
-    state = final_state(InitialState(0.0, 0.0), parse("H"), 1)
-    assert state.norm_squared() == pytest.approx(1.0, abs=1e-15)
+    (amp0, amp1), = basis_walk(parse("H"), 1)
+    np.testing.assert_allclose(np.sum(np.abs(amp0) ** 2 + np.abs(amp1) ** 2, axis=1), 1.0,
+                               rtol=0, atol=1e-15)
 
 
 def test_evolve_yields_every_step():
-    states = list(evolve(InitialState(1.0, 0.5), parse("XH"), 7))
-    assert [s.step_count for s in states] == list(range(1, 8))
+    planes = list(basis_walk(parse("XH"), 7))
+    assert len(planes) == 7
+    assert all(amp0.shape == amp1.shape == (2, 15) for amp0, amp1 in planes)
 
 
 def test_evolve_rejects_nonpositive_steps():
-    with pytest.raises(ValueError):
-        list(evolve(InitialState(0.0, 0.0), parse("H"), 0))
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            list(coin_densities([[0.0, 0.0]], parse("H"), bad))
 
 
 # ---------------------------------------------------------------------------
-# Invariants (property-based)
+# Invariants of the basis walk (property-based): they hold for every initial
+# state at once, because the walk from coin c is A c.
 # ---------------------------------------------------------------------------
 
 
 @settings(max_examples=30, deadline=None)
-@given(theta=theta_st, phi=phi_st, pattern=pattern_st)
-def test_norm_conserved_along_any_walk(theta, phi, pattern):
-    sequence = parse("".join(pattern))
-    for state in evolve(InitialState(theta, phi), sequence, 12):
-        assert abs(state.norm_squared() - 1.0) < 1e-12
+@given(pattern=pattern_st)
+def test_norm_conserved_along_any_walk(pattern):
+    # A0^dag A0 + A1^dag A1 = P0 + P1 = I: the walk is an isometry on the
+    # initial coin, so every initial state stays normalized.
+    for amp0, amp1 in basis_walk(parse("".join(pattern)), 12):
+        gram = amp0.conj() @ amp0.T + amp1.conj() @ amp1.T
+        assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
-@given(theta=theta_st, phi=phi_st, pattern=pattern_st)
-def test_support_confined_and_parity_respected(theta, phi, pattern):
-    sequence = parse("".join(pattern))
-    for state in evolve(InitialState(theta, phi), sequence, 9):
-        t = state.step_count
-        for j in state.positions():
-            magnitude = abs(state.amplitude(int(j), 0)) + abs(state.amplitude(int(j), 1))
-            if abs(int(j)) > t or (int(j) - t) % 2 != 0:
-                assert magnitude == 0.0
+@given(pattern=pattern_st)
+def test_support_confined_and_parity_respected(pattern):
+    steps = 12
+    positions = np.arange(-steps, steps + 1)
+    for t, (amp0, amp1) in enumerate(basis_walk(parse("".join(pattern)), steps), start=1):
+        outside = (np.abs(positions) > t) | ((positions - t) % 2 != 0)
+        assert not amp0[:, outside].any()
+        assert not amp1[:, outside].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(pattern=pattern_st)
+def test_basis_walk_edge_cells_stay_empty(pattern):
+    # The cells the shift fills with zeros (coin 0 at the left edge, coin 1
+    # at the right edge) never hold amplitude, and before the last step
+    # neither edge cell does, so no shift ever drops amplitude.
+    steps = 12
+    for t, (amp0, amp1) in enumerate(basis_walk(parse("".join(pattern)), steps), start=1):
+        assert not amp0[:, 0].any() and not amp1[:, -1].any()
+        if t < steps:
+            assert not amp0[:, [0, -1]].any() and not amp1[:, [0, -1]].any()
 
 
 @settings(max_examples=30, deadline=None)
 @given(theta=theta_st, phi=phi_st)
 def test_x_step_preserves_coin_populations(theta, phi):
-    state = prepare(InitialState(theta, phi), max_steps=3)
-    for _ in range(3):
-        before = (
-            float(np.sum(np.abs(state.amp0) ** 2)),
-            float(np.sum(np.abs(state.amp1) ** 2)),
-        )
-        state = step(state, named_coin("X"))
-        after = (
-            float(np.sum(np.abs(state.amp0) ** 2)),
-            float(np.sum(np.abs(state.amp1) ** 2)),
-        )
-        assert after[0] == pytest.approx(before[0], abs=1e-14)
-        assert after[1] == pytest.approx(before[1], abs=1e-14)
+    pop0, pop1, _ = zip(*coin_densities([[theta, phi]], parse("X"), 3))
+    before = (math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2)
+    for after0, after1 in zip(pop0, pop1):
+        assert after0[0] == pytest.approx(before[0], abs=1e-14)
+        assert after1[0] == pytest.approx(before[1], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +264,8 @@ def test_dense_reference_matches_hand_computed_hadamard_step():
 
 def test_dense_reference_matches_fast_path_for_xxh():
     initial = InitialState(1.4, 5.1)
-    state = final_state(initial, parse("XXH"), 10)
     dense = dense_reference_evolve(initial, parse("XXH"), 10)
-    np.testing.assert_allclose(state.to_vector(), dense, atol=1e-12)
+    np.testing.assert_allclose(_vector(initial, parse("XXH"), 10), dense, atol=1e-12)
 
 
 def test_dense_reference_random_equivalence_sweep():
@@ -263,9 +273,8 @@ def test_dense_reference_random_equivalence_sweep():
     for _ in range(10):
         label = "".join(rng.choice(list("HFMX"), size=rng.integers(1, 5)))
         initial = InitialState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        state = final_state(initial, parse(label), 15)
         dense = dense_reference_evolve(initial, parse(label), 15)
-        assert np.max(np.abs(state.to_vector() - dense)) < 1e-12
+        assert np.max(np.abs(_vector(initial, parse(label), 15) - dense)) < 1e-12
 
 
 def test_dense_reference_step_guard():
