@@ -26,6 +26,8 @@ from typing import Sequence
 from . import __version__
 from .entanglement import MAX_SCHMIDT_NORM, eigenvalues_from
 from .experiments import (
+    TWO_PI,
+    _angle_arrays,
     average_schmidt,
     coin_densities,
     compare_table,
@@ -33,9 +35,8 @@ from .experiments import (
     log_fit,
     parrondo_check,
 )
-from .output import make_manifest, read_average_csv, write_csv, write_json
+from .output import format_number, read_average_csv, write_csv, write_json
 from .sequences import enumerate_patterns, parse
-from .walk import InitialState
 
 __all__ = ["main"]
 
@@ -157,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _manifest(args) -> dict:
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
-    return make_manifest(args.command, __version__, **params)
+    return {"command": args.command, "version": __version__, "params": params}
 
 
 def _cmd_trace(args) -> None:
@@ -168,10 +169,10 @@ def _cmd_trace(args) -> None:
         theta = math.radians(theta)
         phi = math.radians(phi)
     sequence = parse(args.seq)
-    initial = InitialState(theta, phi)
-    args.seq, args.theta, args.phi = sequence.label, theta, initial.phi
+    _angle_arrays([[theta, phi]])
+    args.seq, args.theta, args.phi = sequence.label, theta, phi % TWO_PI
     rows = []
-    densities = coin_densities([[initial.theta, initial.phi]], sequence, args.steps)
+    densities = coin_densities([[args.theta, args.phi]], sequence, args.steps)
     for t, (pop0, pop1, coherence) in enumerate(densities, start=1):
         pop0, pop1, coherence = pop0[0], pop1[0], coherence[0]
         e_minus, e_plus = eigenvalues_from(pop0, pop1, coherence)
@@ -222,10 +223,13 @@ def _cmd_grid(args) -> None:
     sequence = parse(args.seq)
     args.seq = sequence.label
     result = grid_schmidt(sequence, args.t, args.theta_steps, args.phi_steps)
+    # Format each axis value once: every cell of a row or column repeats it.
+    thetas = [format_number(theta) for theta in result.theta_axis]
+    phis = [format_number(phi) for phi in result.phi_axis]
     rows = (
         (theta, phi, result.values[i, j])
-        for i, theta in enumerate(result.theta_axis)
-        for j, phi in enumerate(result.phi_axis)
+        for i, theta in enumerate(thetas)
+        for j, phi in enumerate(phis)
     )
     write_csv(args.out, _manifest(args), ["theta", "phi", "S"], rows)
 
@@ -233,12 +237,7 @@ def _cmd_grid(args) -> None:
 def _cmd_compare(args) -> None:
     sequences = [parse(label) for label in args.seqs]
     args.seqs = [s.label for s in sequences]
-    table = compare_table(sequences, args.t_list, args.samples, args.seed)
-    rows = (
-        (row.sequence_label, row.t, row.mean_s, row.mean_s_over_sqrt2)
-        for row in table.rows
-    )
-    write_csv(args.out, _manifest(args), ["sequence", "t", "mean_S", "mean_S_over_sqrt2"], rows)
+    _write_comparison(args, compare_table(sequences, args.t_list, args.samples, args.seed))
 
 
 def _cmd_parrondo(args) -> None:
@@ -267,8 +266,11 @@ def _cmd_parrondo(args) -> None:
 def _cmd_search(args) -> None:
     candidates = enumerate_patterns(args.alphabet, args.max_period)
     args.alphabet = "".join(sorted(set(args.alphabet.upper())))
-    table = compare_table(candidates, [args.t], args.samples, args.seed)
-    rows = table.rows if args.top is None else table.rows[: args.top]
+    rows = compare_table(candidates, [args.t], args.samples, args.seed)
+    _write_comparison(args, rows[: args.top])
+
+
+def _write_comparison(args, rows) -> None:
     write_csv(
         args.out, _manifest(args),
         ["sequence", "t", "mean_S", "mean_S_over_sqrt2"],

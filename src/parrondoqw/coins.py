@@ -1,87 +1,29 @@
-"""Coin operators for one-dimensional discrete-time quantum walks.
+"""The four named coins: unitary 2x2 complex128 matrices on the coin space.
 
-Every coin is a unitary 2x2 NumPy array of dtype complex128 acting on the
-internal (coin) space of the walker.  Two construction routes are provided:
+========  =========================================
+name      matrix (names are case-insensitive)
+========  =========================================
+``H``     ``[[1, 1], [1, -1]] / sqrt(2)``
+``F``     ``[[1, i], [i, 1]] / sqrt(2)``
+``M``     ``[[i, 1], [-1, -i]] / sqrt(2)``
+``X``     ``[[0, 1], [1, 0]]``
+========  =========================================
 
-- ``build_coin``: the general four-angle family
-  ``C(alpha, beta, gamma, eta) = e^{i eta/2} *
-  [[e^{i alpha} cos(beta),  e^{i gamma} sin(beta)],
-   [-e^{-i gamma} sin(beta), e^{-i alpha} cos(beta)]]``
-- ``named_coin``: the four named coins used throughout this package,
-  hard-coded in their explicit matrix form.
-
-Named coin alphabet (case-insensitive everywhere):
-
-========  =========================================  ==============================
-name      matrix                                     angles (alpha, beta, gamma, eta)
-========  =========================================  ==============================
-``H``     ``[[1, 1], [1, -1]] / sqrt(2)``            ``(-pi/2, pi/4, -pi/2, pi)``
-``F``     ``[[1, i], [i, 1]] / sqrt(2)``             ``(0, pi/4, pi/2, 0)``
-``M``     ``[[i, 1], [-1, -i]] / sqrt(2)``           ``(pi/2, pi/4, 0, 0)``
-``X``     ``[[0, 1], [1, 0]]``                       ``(0, pi/2, -pi/2, pi)``
-========  =========================================  ==============================
-
-The ``X`` matrix is independent of ``alpha`` (``cos(beta) = 0`` removes every
-alpha-dependent entry); the parameterized form fixes ``alpha = 0``.  The test
-suite cross-checks each hard-coded matrix against ``build_coin`` of the angles
-above so a transcription error on either side is caught.
+The package hard-codes them; ``parrondoqw.oracles`` holds the four-angle
+family they belong to, and the tests cross-check each matrix against it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-__all__ = [
-    "ALPHABET",
-    "NAMED_COIN_PARAMS",
-    "CoinParams",
-    "build_coin",
-    "named_coin",
-    "verify_unitarity",
-]
+__all__ = ["ALPHABET", "named_coin"]
 
 #: Canonical one-letter names of the supported coins.
 ALPHABET = "HFMX"
-
-UNITARITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CoinParams:
-    """Angles (radians) of the four-parameter coin family."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "eta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"coin angle {name!r} must be finite, got {value!r}")
-
-    def canonical(self) -> "CoinParams":
-        """Angles wrapped into [-pi, pi), for comparison purposes only."""
-
-        def wrap(a: float) -> float:
-            r = math.remainder(a, 2.0 * math.pi)
-            return -math.pi if r == math.pi else r
-
-        return CoinParams(wrap(self.alpha), wrap(self.beta), wrap(self.gamma), wrap(self.eta))
-
-
-#: Angle parameterization of each named coin.
-NAMED_COIN_PARAMS: dict[str, CoinParams] = {
-    "H": CoinParams(-math.pi / 2, math.pi / 4, -math.pi / 2, math.pi),
-    "F": CoinParams(0.0, math.pi / 4, math.pi / 2, 0.0),
-    "M": CoinParams(math.pi / 2, math.pi / 4, 0.0, 0.0),
-    "X": CoinParams(0.0, math.pi / 2, -math.pi / 2, math.pi),
-}
 
 # sqrt(0.5) is the correctly rounded double for 1/sqrt(2); dividing by
 # sqrt(2) lands one ulp off and needlessly degrades near-cancellation points.
@@ -93,41 +35,6 @@ _NAMED_MATRICES: dict[str, NDArray[np.complex128]] = {
     "M": np.array([[1j, 1], [-1, -1j]], dtype=np.complex128) * _INV_SQRT2,
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
 }
-
-
-def build_coin(params: CoinParams) -> NDArray[np.complex128]:
-    """Construct the general coin matrix from its four angles.
-
-    Parameters
-    ----------
-    params:
-        Angles in radians; any finite real values are accepted.
-
-    Returns
-    -------
-    NDArray[np.complex128]
-        ``e^{i eta/2} * [[e^{i alpha} cos(beta),  e^{i gamma} sin(beta)],
-        [-e^{-i gamma} sin(beta), e^{-i alpha} cos(beta)]]``.
-        The global phase ``e^{i eta/2}`` is kept as written; it has no effect
-        on entanglement but keeps matrices comparable entrywise.
-
-    Raises
-    ------
-    ValueError
-        If any angle is not finite (raised by ``CoinParams``).
-    """
-    if not isinstance(params, CoinParams):
-        params = CoinParams(*params)
-    c = math.cos(params.beta)
-    s = math.sin(params.beta)
-    phase = np.exp(0.5j * params.eta)
-    return phase * np.array(
-        [
-            [np.exp(1j * params.alpha) * c, np.exp(1j * params.gamma) * s],
-            [-np.exp(-1j * params.gamma) * s, np.exp(-1j * params.alpha) * c],
-        ],
-        dtype=np.complex128,
-    )
 
 
 def named_coin(name: str) -> NDArray[np.complex128]:
@@ -151,12 +58,3 @@ def named_coin(name: str) -> NDArray[np.complex128]:
             f"unknown coin {name!r}: expected one of {', '.join(ALPHABET)}"
         ) from None
     return matrix.copy()
-
-
-def verify_unitarity(coin: NDArray[np.complex128], tol: float = UNITARITY_TOL) -> bool:
-    """True iff ``coin.conj().T @ coin`` equals the identity entrywise within tol."""
-    coin = np.asarray(coin, dtype=np.complex128)
-    if coin.shape != (2, 2):
-        return False
-    residual = coin.conj().T @ coin - np.eye(2)
-    return bool(np.max(np.abs(residual)) <= tol)

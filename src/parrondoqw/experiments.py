@@ -31,7 +31,6 @@ __all__ = [
     "FitResult",
     "GridResult",
     "ComparisonRow",
-    "ComparisonTable",
     "ParrondoReport",
     "sample_initial_states",
     "coin_densities",
@@ -56,18 +55,9 @@ TWO_PI = 2.0 * math.pi
 class AverageTrajectory:
     """Mean (and std) Schmidt norm per step over a fixed initial-state sample."""
 
-    sequence_label: str
-    samples_per_point: int
-    seed: int
     steps: NDArray[np.int_]
     mean_s: NDArray[np.float64]
     std_s: NDArray[np.float64]
-
-    def points(self) -> list[tuple[int, float, float]]:
-        return [
-            (int(t), float(m), float(s))
-            for t, m, s in zip(self.steps, self.mean_s, self.std_s)
-        ]
 
 
 @dataclass
@@ -79,9 +69,6 @@ class FitResult:
     fit_range: tuple[int, int]
     extrapolation: list[tuple[int, float]]
     residual_rms: float
-
-    def predict(self, t) -> float:
-        return self.a * math.log(t) + self.b
 
     def extrapolation_ratios(self) -> list[tuple[int, float]]:
         """Predictions as S/sqrt(2) ratios, clipped into the physical range."""
@@ -95,8 +82,6 @@ class FitResult:
 class GridResult:
     """Schmidt norm over a regular (theta, phi) grid at a fixed step."""
 
-    sequence_label: str
-    t: int
     theta_axis: NDArray[np.float64]
     phi_axis: NDArray[np.float64]
     values: NDArray[np.float64]  # shape (len(theta_axis), len(phi_axis))
@@ -111,15 +96,6 @@ class ComparisonRow:
     @property
     def mean_s_over_sqrt2(self) -> float:
         return self.mean_s / MAX_SCHMIDT_NORM
-
-
-@dataclass
-class ComparisonTable:
-    """Per-sequence mean Schmidt norms on a shared sample set."""
-
-    rows: list[ComparisonRow]
-    samples: int
-    seed: int
 
 
 @dataclass
@@ -170,13 +146,22 @@ def sample_initial_states(count: int, seed: int) -> NDArray[np.float64]:
 
 
 def _angle_arrays(states) -> tuple[NDArray, NDArray]:
-    """(thetas, phis) of an (N, 2) array (or nested list) of (theta, phi) rows."""
+    """(thetas, phis) of an (N, 2) array (or nested list) of (theta, phi) rows.
+
+    The error names the first bad row, with its values as given.
+    """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != 2:
         raise ValueError(f"angle arrays need shape (N, 2) of (theta, phi) rows, got {states.shape}")
-    if not np.all(np.isfinite(states) & (states[:, :1] >= 0.0) & (states[:, :1] <= math.pi)):
-        raise ValueError("angle arrays need finite (theta, phi) rows with theta in [0, pi]")
-    return states[:, 0], states[:, 1]
+    thetas, phis = states[:, 0], states[:, 1]
+    bad = np.flatnonzero(~(np.isfinite(phis) & (thetas >= 0.0) & (thetas <= math.pi)))
+    if bad.size:
+        theta, phi = states[bad[0]].tolist()
+        raise ValueError(
+            "initial states need finite angles with theta in [0, pi], "
+            f"got theta={theta!r} phi={phi!r}"
+        )
+    return thetas, phis
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +280,6 @@ def average_schmidt(
         mean_s.append(values.mean())
         std_s.append(values.std())
     return AverageTrajectory(
-        sequence_label=sequence.label,
-        samples_per_point=samples,
-        seed=seed,
         steps=np.arange(1, steps + 1),
         mean_s=np.array(mean_s),
         std_s=np.array(std_s),
@@ -370,8 +352,6 @@ def grid_schmidt(
     theta_axis, phi_axis, angles = _grid_angles(theta_steps, phi_steps)
     traj = schmidt_trajectories(angles, sequence, t, record_steps=[t])
     return GridResult(
-        sequence_label=sequence.label,
-        t=t,
         theta_axis=theta_axis,
         phi_axis=phi_axis,
         values=traj[0].reshape(theta_steps, phi_steps),
@@ -411,8 +391,8 @@ def parrondo_check(
     for seq, role in ((seq_a, "a"), (seq_b, "b")):
         if not seq.is_single_coin():
             raise ValueError(f"baseline sequence {role!r} must be single-coin, got {seq.label!r}")
-    table = compare_table([seq_ab, seq_a, seq_b], [t], samples, seed)
-    means = {row.sequence_label: row.mean_s for row in table.rows}
+    rows = compare_table([seq_ab, seq_a, seq_b], [t], samples, seed)
+    means = {row.sequence_label: row.mean_s for row in rows}
     return ParrondoReport(
         sequence_label=seq_ab.label,
         single_a_label=seq_a.label,
@@ -431,7 +411,7 @@ def compare_table(
     step_list: Sequence[int],
     samples: int,
     seed: int,
-) -> ComparisonTable:
+) -> list[ComparisonRow]:
     """Mean S for every candidate at every requested step, on one shared sample set.
 
     Rows are ordered by step, then descending mean, ties broken by label.
@@ -454,4 +434,4 @@ def compare_table(
         for label, per_step in means.items()
     ]
     rows.sort(key=lambda r: (r.t, -r.mean_s, r.sequence_label))
-    return ComparisonTable(rows=rows, samples=samples, seed=seed)
+    return rows

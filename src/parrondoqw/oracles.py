@@ -1,8 +1,25 @@
 """Reference implementations the tests compare the engine against.
 
-Neither is on the runtime path; both are derived independently of
-``walk.basis_walk`` and ``experiments.coin_densities``:
+None of it is on the runtime path: the CLI never imports this module.  Each
+reference is derived independently of the code it checks:
 
+- ``build_coin`` builds the four-angle coin family, and
+  ``NAMED_COIN_PARAMS`` holds each named coin's angles, so the tests can
+  cross-check the matrices hard-coded in ``coins``:
+
+  ========  ==============================
+  name      angles (alpha, beta, gamma, eta)
+  ========  ==============================
+  ``H``     ``(-pi/2, pi/4, -pi/2, pi)``
+  ``F``     ``(0, pi/4, pi/2, 0)``
+  ``M``     ``(pi/2, pi/4, 0, 0)``
+  ``X``     ``(0, pi/2, -pi/2, pi)``
+  ========  ==============================
+
+  ``X`` is independent of ``alpha`` (``cos(beta) = 0``); the table fixes
+  ``alpha = 0``.
+- ``InitialState`` is one initial state as an object; the engine takes
+  ``(N, 2)`` arrays of ``(theta, phi)`` rows.
 - ``closed_form_oracle`` gives analytic values of S for the XXH-family
   sequences at steps 1..6 and for single H/F/M steps;
 - ``dense_reference_evolve`` builds the walk from explicit dense
@@ -14,22 +31,117 @@ Neither is on the runtime path; both are derived independently of
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .sequences import CoinSequence
-from .walk import InitialState
 
-__all__ = ["closed_form_oracle", "dense_reference_evolve", "DENSE_MAX_STEPS"]
+__all__ = ["NAMED_COIN_PARAMS", "CoinParams", "InitialState", "build_coin", "verify_unitarity",
+           "closed_form_oracle", "dense_reference_evolve", "DENSE_MAX_STEPS"]
 
 #: Largest step count accepted by the dense reference path (matrix is (2(2t+1))^2).
 DENSE_MAX_STEPS = 200
+
+UNITARITY_TOL = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 
 _XXH_FAMILY = frozenset({"XXH", "XXF", "XXM"})
 _SINGLE_STEP = frozenset({"H", "F", "M"})
+
+
+@dataclass(frozen=True)
+class CoinParams:
+    """Angles (radians) of the four-parameter coin family."""
+
+    alpha: float
+    beta: float
+    gamma: float
+    eta: float
+
+    def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "eta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"coin angle {name!r} must be finite, got {value!r}")
+
+
+#: Angle parameterization of each named coin.
+NAMED_COIN_PARAMS: dict[str, CoinParams] = {
+    "H": CoinParams(-math.pi / 2, math.pi / 4, -math.pi / 2, math.pi),
+    "F": CoinParams(0.0, math.pi / 4, math.pi / 2, 0.0),
+    "M": CoinParams(math.pi / 2, math.pi / 4, 0.0, 0.0),
+    "X": CoinParams(0.0, math.pi / 2, -math.pi / 2, math.pi),
+}
+
+
+def build_coin(params: CoinParams) -> NDArray[np.complex128]:
+    """Construct the general coin matrix from its four angles.
+
+    Parameters
+    ----------
+    params:
+        Angles in radians; any finite real values are accepted.
+
+    Returns
+    -------
+    NDArray[np.complex128]
+        ``e^{i eta/2} * [[e^{i alpha} cos(beta),  e^{i gamma} sin(beta)],
+        [-e^{-i gamma} sin(beta), e^{-i alpha} cos(beta)]]``.
+        The global phase ``e^{i eta/2}`` is kept as written; it has no effect
+        on entanglement but keeps matrices comparable entrywise.
+
+    Raises
+    ------
+    ValueError
+        If any angle is not finite (raised by ``CoinParams``).
+    """
+    c = math.cos(params.beta)
+    s = math.sin(params.beta)
+    phase = np.exp(0.5j * params.eta)
+    return phase * np.array(
+        [
+            [np.exp(1j * params.alpha) * c, np.exp(1j * params.gamma) * s],
+            [-np.exp(-1j * params.gamma) * s, np.exp(-1j * params.alpha) * c],
+        ],
+        dtype=np.complex128,
+    )
+
+
+def verify_unitarity(coin: NDArray[np.complex128], tol: float = UNITARITY_TOL) -> bool:
+    """True iff ``coin.conj().T @ coin`` equals the identity entrywise within tol."""
+    coin = np.asarray(coin, dtype=np.complex128)
+    if coin.shape != (2, 2):
+        return False
+    residual = coin.conj().T @ coin - np.eye(2)
+    return bool(np.max(np.abs(residual)) <= tol)
+
+
+@dataclass(frozen=True)
+class InitialState:
+    """Localized initial state ``cos(theta/2)|0_p,0_c> + e^{i phi} sin(theta/2)|0_p,1_c>``.
+
+    ``theta`` must lie in ``[0, pi]``; ``phi`` is canonicalized into ``[0, 2pi)``.
+    """
+
+    theta: float
+    phi: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ValueError(f"initial state angles must be finite, got theta={self.theta!r} phi={self.phi!r}")
+        if not 0.0 <= self.theta <= math.pi:
+            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
+        object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
+
+    def coin_amplitudes(self) -> tuple[complex, complex]:
+        """Amplitude pair (coin-0, coin-1) at the origin."""
+        return (
+            complex(math.cos(self.theta / 2.0)),
+            complex(np.exp(1j * self.phi) * math.sin(self.theta / 2.0)),
+        )
 
 
 def closed_form_oracle(sequence_tag: str, t: int, initial: InitialState) -> float:

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "format_number",
-    "make_manifest",
     "write_csv",
     "write_json",
     "read_average_csv",
@@ -44,8 +43,12 @@ def _round12(value: float) -> float:
     return x if not math.isfinite(x) or x == 0.0 else float(f"{x:.12g}")
 
 
-def make_manifest(command: str, version: str, **params) -> dict:
-    return {"command": command, "version": version, "params": dict(params)}
+def _finite(text: str) -> float:
+    """``json.loads`` hook: a number, rejected when it is not finite (``1e400``, ``NaN``)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def _open_out(path: str | None):
@@ -112,9 +115,9 @@ def read_average_csv(path: str):
     """Load a trajectory CSV written by the ``average`` command.
 
     Returns (manifest_or_None, AverageTrajectory).  Raises ValueError on
-    malformed input (missing columns, non-numeric or non-finite cells, no
-    data rows, a ``t`` that is not a positive integer or does not increase
-    from row to row).
+    malformed input (a manifest that is not a JSON object of finite numbers,
+    missing columns, non-numeric or non-finite cells, no data rows, a ``t``
+    that is not a positive integer or does not increase from row to row).
     """
     from .experiments import AverageTrajectory
 
@@ -131,9 +134,13 @@ def read_average_csv(path: str):
                 comment = line.lstrip("#").strip()
                 if comment.startswith("manifest:"):
                     try:
-                        manifest = json.loads(comment[len("manifest:"):].strip())
-                    except json.JSONDecodeError:
+                        manifest = json.loads(
+                            comment[len("manifest:"):], parse_float=_finite, parse_constant=_finite
+                        )
+                    except (ValueError, RecursionError):
                         manifest = None
+                    if not isinstance(manifest, dict):
+                        raise ValueError(f"{path}:{line_no}: malformed manifest")
                 continue
             if header is None:
                 header = [c.strip() for c in line.split(",")]
@@ -172,11 +179,7 @@ def read_average_csv(path: str):
         if "std_S" in header
         else np.zeros(table.shape[0])
     )
-    params = (manifest or {}).get("params", {})
     return manifest, AverageTrajectory(
-        sequence_label=str(params.get("seq", "")),
-        samples_per_point=int(params.get("samples", 0)),
-        seed=int(params.get("seed", 0)),
         steps=table[:, t_col].astype(int),
         mean_s=table[:, mean_col],
         std_s=std,

@@ -50,25 +50,11 @@ class CoinSequence:
             self, "_matrices", tuple(named_coin(name) for name in normalized)
         )
 
-    def __len__(self) -> int:
-        return len(self.pattern)
-
-    def coin_name_at(self, step_index: int) -> str:
-        """Name of the coin used at 1-based step ``step_index``."""
-        if step_index < 1:
-            raise ValueError(f"step_index must be >= 1, got {step_index}")
-        return self.pattern[(step_index - 1) % len(self.pattern)]
-
     def coin_at(self, step_index: int) -> NDArray[np.complex128]:
         """Coin matrix used at 1-based step ``step_index``."""
         if step_index < 1:
             raise ValueError(f"step_index must be >= 1, got {step_index}")
         return self._matrices[(step_index - 1) % len(self.pattern)]
-
-    def prefix(self, length: int) -> str:
-        """First ``length`` symbols of the generated infinite coin stream."""
-        reps = -(-length // len(self.pattern))
-        return ("".join(self.pattern) * reps)[:length]
 
     def is_single_coin(self) -> bool:
         return len(set(self.pattern)) == 1

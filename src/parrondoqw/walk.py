@@ -21,47 +21,18 @@ The evolution is linear in the initial coin vector ``c``, so ``basis_walk``
 walks only the two basis coins ``|0_c>`` and ``|1_c>``; the walk from any
 initial state is ``c[0]`` times the first plus ``c[1]`` times the second.
 It is the package's one evolution: every sweep and ``trace`` read it, and
-the dense oracle in ``parrondoqw.oracles`` is checked against it.
+the dense oracle in ``parrondoqw.oracles`` is checked against it.  Initial
+states enter only as the ``(theta, phi)`` rows of ``experiments.coin_densities``.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .sequences import CoinSequence
 
-__all__ = ["InitialState", "mix_coin", "shift_flip", "basis_walk"]
-
-TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class InitialState:
-    """Localized initial state ``cos(theta/2)|0_p,0_c> + e^{i phi} sin(theta/2)|0_p,1_c>``.
-
-    ``theta`` must lie in ``[0, pi]``; ``phi`` is canonicalized into ``[0, 2pi)``.
-    """
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError(f"initial state angles must be finite, got theta={self.theta!r} phi={self.phi!r}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
-
-    def coin_amplitudes(self) -> tuple[complex, complex]:
-        """Amplitude pair (coin-0, coin-1) at the origin."""
-        return (
-            complex(math.cos(self.theta / 2.0)),
-            complex(np.exp(1j * self.phi) * math.sin(self.theta / 2.0)),
-        )
+__all__ = ["mix_coin", "shift_flip", "basis_walk"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from parrondoqw.experiments import (
     sample_initial_states,
     schmidt_trajectories,
 )
-from parrondoqw.oracles import closed_form_oracle, dense_reference_evolve
+from parrondoqw.oracles import InitialState, closed_form_oracle, dense_reference_evolve
 from parrondoqw.sequences import parse
-from parrondoqw.walk import InitialState, basis_walk
+from parrondoqw.walk import basis_walk
 
 SQRT2 = math.sqrt(2.0)
 GRID_THETA, GRID_PHI = 37, 72

@@ -80,6 +80,19 @@ def test_trace_rejects_bad_sequence():
     assert run("trace", "--seq", "XQZ", "--theta", 0, "--steps", 2) == 1
 
 
+@pytest.mark.parametrize("theta, phi, named", [
+    ("4", "0", "theta=4.0"),
+    ("1", "inf", "phi=inf"),
+    ("nan", "0", "theta=nan"),
+])
+def test_trace_bad_angle_is_one_line_naming_it(capsys, theta, phi, named):
+    assert run("trace", "--seq", "H", "--theta", theta, "--phi", phi, "--steps", 2) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and named in line
+
+
 def test_trace_degrees_range_error_is_in_degrees(capsys):
     assert run("trace", "--seq", "H", "--theta", 200, "--degrees", "--steps", 2) == 1
     err = capsys.readouterr().err
@@ -189,6 +202,36 @@ def test_fit_rejects_bad_t_column(tmp_path, capsys, t_cells, bad_line, message):
     assert run("fit", "--in", bad, "--tmin", 1, "--out", out) == 1
     assert f"{bad}:{bad_line}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("manifest, accepted", [
+    ('[1, 2]', False),
+    ('{"params": null}', True),
+    ('{"params": {"samples": [3]}}', True),
+    ('{"params": {"samples": 1e400}}', False),
+    ('{"params": {}, "x": 1e400}', False),
+    ('{"params": {}, "x": NaN}', False),
+    ('{"params": ', False),
+    ("[" * 10**5, False),
+], ids=["list", "null-params", "list-samples", "overflow-param", "overflow-key", "nan", "truncated", "deep"])
+def test_fit_manifest_is_a_finite_json_object(tmp_path, capsys, manifest, accepted):
+    traj = tmp_path / "traj.csv"
+    out = tmp_path / "fit.json"
+    _write_log_csv(traj)
+    traj.write_text(traj.read_text().replace("# manifest: {}", f"# manifest: {manifest}"))
+    code = run("fit", "--in", traj, "--tmin", 1, "--out", out)
+    err = capsys.readouterr().err
+    if accepted:
+        assert code == 0 and err == ""
+        document = json.loads(out.read_text(), parse_constant=_no_constants)
+        assert document["input_manifest"] == json.loads(manifest)
+    else:
+        assert code == 1 and not out.exists()
+        assert err == f"error: {traj}:1: malformed manifest\n"
 
 
 def test_fit_rejects_malformed_csv(tmp_path):

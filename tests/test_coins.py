@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parrondoqw.coins import (
-    ALPHABET,
-    NAMED_COIN_PARAMS,
-    CoinParams,
-    build_coin,
-    named_coin,
-    verify_unitarity,
-)
+from parrondoqw.coins import ALPHABET, named_coin
+from parrondoqw.oracles import NAMED_COIN_PARAMS, CoinParams, build_coin, verify_unitarity
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -108,10 +102,3 @@ def test_build_coin_unitary_over_random_draws():
 def test_build_coin_unitary_property(alpha, beta, gamma, eta):
     assert verify_unitarity(build_coin(CoinParams(alpha, beta, gamma, eta)))
 
-
-def test_canonical_wraps_into_half_open_interval():
-    params = CoinParams(3 * math.pi, -math.pi, 2 * math.pi, math.pi).canonical()
-    for value in (params.alpha, params.beta, params.gamma, params.eta):
-        assert -math.pi <= value < math.pi
-    assert params.alpha == pytest.approx(-math.pi)  # 3*pi wraps to -pi
-    assert params.gamma == pytest.approx(0.0, abs=1e-15)

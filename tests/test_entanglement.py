@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from parrondoqw.entanglement import MAX_SCHMIDT_NORM, eigenvalues_from, schmidt_norm_from
 from parrondoqw.experiments import coin_densities, schmidt_trajectories
-from parrondoqw.oracles import closed_form_oracle, dense_reference_evolve
+from parrondoqw.oracles import InitialState, closed_form_oracle, dense_reference_evolve
 from parrondoqw.sequences import parse
-from parrondoqw.walk import InitialState
 
 SQRT2 = math.sqrt(2.0)
 

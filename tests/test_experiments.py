@@ -16,9 +16,8 @@ from parrondoqw.experiments import (
     schmidt_trajectories,
 )
 from parrondoqw.entanglement import schmidt_norm_from
-from parrondoqw.oracles import dense_reference_evolve
+from parrondoqw.oracles import InitialState, dense_reference_evolve
 from parrondoqw.sequences import parse
-from parrondoqw.walk import InitialState
 
 SQRT2 = math.sqrt(2.0)
 
@@ -184,10 +183,7 @@ def test_average_memory_is_bounded_by_samples():
 
 def _synthetic(a, b, steps=60):
     t = np.arange(1, steps + 1)
-    return AverageTrajectory(
-        sequence_label="SYN", samples_per_point=1, seed=0,
-        steps=t, mean_s=a * np.log(t) + b, std_s=np.zeros(steps),
-    )
+    return AverageTrajectory(steps=t, mean_s=a * np.log(t) + b, std_s=np.zeros(steps))
 
 
 def test_log_fit_recovers_exact_generator():
@@ -294,34 +290,34 @@ def test_parrondo_rejects_multi_coin_baseline():
 
 
 def test_rank_sequences_orders_by_mean():
-    table = compare_table([parse("XXH"), parse("HHH"), parse("XXX")], [3],
-                          samples=200, seed=8)
-    assert table.rows[0].sequence_label == "XXH"
-    assert table.rows[0].mean_s == pytest.approx(SQRT2, abs=1e-10)
-    assert table.rows[0].mean_s >= table.rows[1].mean_s >= table.rows[2].mean_s
+    rows = compare_table([parse("XXH"), parse("HHH"), parse("XXX")], [3],
+                         samples=200, seed=8)
+    assert rows[0].sequence_label == "XXH"
+    assert rows[0].mean_s == pytest.approx(SQRT2, abs=1e-10)
+    assert rows[0].mean_s >= rows[1].mean_s >= rows[2].mean_s
 
 
 def test_rank_single_candidate():
-    table = compare_table([parse("H")], [4], samples=30, seed=2)
-    assert len(table.rows) == 1
-    assert table.rows[0].sequence_label == "H"
+    rows = compare_table([parse("H")], [4], samples=30, seed=2)
+    assert len(rows) == 1
+    assert rows[0].sequence_label == "H"
 
 
 def test_xxh_family_members_rank_identically():
-    table = compare_table([parse("XXH"), parse("XXF"), parse("XXM")], [14],
-                          samples=150, seed=6)
-    means = [row.mean_s for row in table.rows]
+    rows = compare_table([parse("XXH"), parse("XXF"), parse("XXM")], [14],
+                         samples=150, seed=6)
+    means = [row.mean_s for row in rows]
     assert max(means) - min(means) < 1e-10
     # exact ties fall back to lexicographic labels
     if means[0] == means[1] == means[2]:
-        assert [r.sequence_label for r in table.rows] == ["XXF", "XXH", "XXM"]
+        assert [r.sequence_label for r in rows] == ["XXF", "XXH", "XXM"]
 
 
 def test_compare_table_multi_step_ordering():
-    table = compare_table([parse("XXH"), parse("XXX")], [3, 7], samples=60, seed=3)
-    assert [(r.t, r.sequence_label) for r in table.rows][:2] == [(3, "XXH"), (3, "XXX")]
-    assert all(table.rows[i].t <= table.rows[i + 1].t for i in range(len(table.rows) - 1))
-    for row in table.rows:
+    rows = compare_table([parse("XXH"), parse("XXX")], [3, 7], samples=60, seed=3)
+    assert [(r.t, r.sequence_label) for r in rows][:2] == [(3, "XXH"), (3, "XXX")]
+    assert all(rows[i].t <= rows[i + 1].t for i in range(len(rows) - 1))
+    for row in rows:
         assert 1.0 / SQRT2 - 1e-12 <= row.mean_s_over_sqrt2 <= 1.0 + 1e-12
 
 

@@ -33,7 +33,7 @@ def test_coin_at_follows_one_based_repeating_pattern():
     np.testing.assert_array_equal(seq.coin_at(2), named_coin("X"))
     np.testing.assert_array_equal(seq.coin_at(3), named_coin("H"))
     np.testing.assert_array_equal(seq.coin_at(4), named_coin("X"))
-    assert seq.coin_name_at(6) == "H"
+    np.testing.assert_array_equal(seq.coin_at(6), named_coin("H"))
 
 
 def test_coin_at_constant_sequence():
@@ -48,12 +48,13 @@ def test_coin_at_rejects_nonpositive_index():
 def test_coin_at_is_periodic():
     seq = parse("XHF")
     for i in range(1, 30):
-        assert seq.coin_name_at(i) == seq.coin_name_at(i + len(seq))
+        np.testing.assert_array_equal(seq.coin_at(i), seq.coin_at(i + len(seq.pattern)))
 
 
 def test_repetition_multiples_generate_identical_streams():
-    assert parse("H").prefix(100) == parse("HH").prefix(100)
-    assert parse("XH").prefix(100) == parse("XHXH").prefix(100)
+    for short, long in (("H", "HH"), ("XH", "XHXH")):
+        for i in range(1, 101):
+            np.testing.assert_array_equal(parse(short).coin_at(i), parse(long).coin_at(i))
 
 
 def test_sequence_requires_known_coins():

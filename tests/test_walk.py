@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from parrondoqw.coins import named_coin
 from parrondoqw.experiments import coin_densities, schmidt_trajectories
-from parrondoqw.oracles import dense_reference_evolve
+from parrondoqw.oracles import InitialState, dense_reference_evolve
 from parrondoqw.sequences import parse
-from parrondoqw.walk import InitialState, basis_walk, mix_coin, shift_flip
+from parrondoqw.walk import basis_walk, mix_coin, shift_flip
 
 SQRT2 = math.sqrt(2.0)
 
