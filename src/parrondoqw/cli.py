@@ -247,12 +247,12 @@ def _cmd_parrondo(args) -> None:
     write_json(
         args.out, _manifest(args),
         {
-            "sequence": report.sequence_label,
-            "single_a": report.single_a_label,
-            "single_b": report.single_b_label,
-            "t": report.t,
-            "samples": report.samples,
-            "seed": report.seed,
+            "sequence": args.ab,
+            "single_a": args.a,
+            "single_b": args.b,
+            "t": args.t,
+            "samples": args.samples,
+            "seed": args.seed,
             "mean_combined": report.mean_combined,
             "mean_a": report.mean_a,
             "mean_b": report.mean_b,

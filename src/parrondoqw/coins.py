@@ -9,8 +9,10 @@ name      matrix (names are case-insensitive)
 ``X``     ``[[0, 1], [1, 0]]``
 ========  =========================================
 
-The package hard-codes them; ``parrondoqw.oracles`` holds the four-angle
-family they belong to, and the tests cross-check each matrix against it.
+The package hard-codes them in one read-only table, and ``named_coin`` hands
+out the table's own arrays: no caller can change a coin for anyone else.
+``parrondoqw.oracles`` holds the four-angle family they belong to, and the
+tests cross-check each matrix against it.
 """
 
 from __future__ import annotations
@@ -35,10 +37,14 @@ _NAMED_MATRICES: dict[str, NDArray[np.complex128]] = {
     "M": np.array([[1j, 1], [-1, -1j]], dtype=np.complex128) * _INV_SQRT2,
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
 }
+for _matrix in _NAMED_MATRICES.values():
+    _matrix.flags.writeable = False
 
 
 def named_coin(name: str) -> NDArray[np.complex128]:
-    """Return a fresh copy of the named coin matrix.
+    """Return the named coin matrix, a read-only array shared by every caller.
+
+    This is the one place that checks a coin letter.
 
     Parameters
     ----------
@@ -57,4 +63,4 @@ def named_coin(name: str) -> NDArray[np.complex128]:
         raise ValueError(
             f"unknown coin {name!r}: expected one of {', '.join(ALPHABET)}"
         ) from None
-    return matrix.copy()
+    return matrix

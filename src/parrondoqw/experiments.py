@@ -100,14 +100,8 @@ class ComparisonRow:
 
 @dataclass
 class ParrondoReport:
-    """Outcome of one two-coins-beat-both-parents check."""
+    """Outcome of one two-coins-beat-both-parents check: the three shared-sample means."""
 
-    sequence_label: str
-    single_a_label: str
-    single_b_label: str
-    t: int
-    samples: int
-    seed: int
     mean_combined: float
     mean_a: float
     mean_b: float
@@ -299,8 +293,9 @@ def log_fit(
     Raises
     ------
     ValueError
-        If fewer than 5 trajectory points satisfy ``t >= t_min``, or an
-        extrapolation target is below 1.
+        If fewer than 5 trajectory points satisfy ``t >= t_min``, an
+        extrapolation target is below 1, or a fitted value is not finite
+        (``mean_S`` near the float range overflows the fit).
     """
     targets = [extrapolate_to] if isinstance(extrapolate_to, int) else list(extrapolate_to)
     if any(tt < 1 for tt in targets):
@@ -315,15 +310,22 @@ def log_fit(
         )
     t_fit = t[keep]
     s_fit = s[keep]
-    a, b = np.polyfit(np.log(t_fit), s_fit, 1)
-    residuals = s_fit - (a * np.log(t_fit) + b)
-    return FitResult(
-        a=float(a),
-        b=float(b),
-        fit_range=(int(t_fit[0]), int(t_fit[-1])),
-        extrapolation=[(int(tt), float(a * math.log(tt) + b)) for tt in targets],
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = np.polyfit(np.log(t_fit), s_fit, 1)
+        residuals = s_fit - (a * np.log(t_fit) + b)
+        result = FitResult(
+            a=float(a),
+            b=float(b),
+            fit_range=(int(t_fit[0]), int(t_fit[-1])),
+            extrapolation=[(int(tt), float(a * math.log(tt) + b)) for tt in targets],
+            residual_rms=float(np.sqrt(np.mean(residuals**2))),
+        )
+    fitted = [("a", result.a), ("b", result.b), ("residual_rms", result.residual_rms)]
+    fitted += [(f"S at t={tt}", value) for tt, value in result.extrapolation]
+    for name, value in fitted:
+        if not math.isfinite(value):
+            raise ValueError(f"log fit gives a non-finite {name} ({value!r})")
+    return result
 
 
 def _grid_angles(theta_steps: int, phi_steps: int) -> tuple[NDArray, NDArray, NDArray]:
@@ -393,17 +395,7 @@ def parrondo_check(
             raise ValueError(f"baseline sequence {role!r} must be single-coin, got {seq.label!r}")
     rows = compare_table([seq_ab, seq_a, seq_b], [t], samples, seed)
     means = {row.sequence_label: row.mean_s for row in rows}
-    return ParrondoReport(
-        sequence_label=seq_ab.label,
-        single_a_label=seq_a.label,
-        single_b_label=seq_b.label,
-        t=t,
-        samples=samples,
-        seed=seed,
-        mean_combined=means[seq_ab.label],
-        mean_a=means[seq_a.label],
-        mean_b=means[seq_b.label],
-    )
+    return ParrondoReport(means[seq_ab.label], means[seq_a.label], means[seq_b.label])
 
 
 def compare_table(

@@ -3,9 +3,10 @@
 Contract: every output file starts with '#'-prefixed comment lines carrying
 the run manifest (command, version, all experiment parameters), followed by a
 column-name row, then data rows.  Numbers are printed at 12 significant
-digits, scientific notation when |x| < 1e-3.  Nothing time- or
-machine-dependent is ever written, so identical invocations produce
-byte-identical files.
+digits, scientific notation when |x| < 1e-3; JSON floats are rounded to the
+same 12 digits, and a JSON payload that is not finite is refused before any
+file opens.  Nothing time- or machine-dependent is ever written, so
+identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,21 +27,13 @@ __all__ = [
 
 
 def format_number(value) -> str:
-    """12-significant-digit text form; scientific when |x| < 1e-3."""
+    """12-significant-digit text form; scientific when |x| < 1e-3 (zero included)."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     x = float(value)
-    if not math.isfinite(x):
-        return repr(x)
-    if x == 0.0 or abs(x) < 1e-3:
+    if abs(x) < 1e-3:
         return f"{x:.11e}"
     return f"{x:.12g}"
-
-
-def _round12(value: float) -> float:
-    """Round to 12 significant digits (keeps JSON output in step with CSV)."""
-    x = float(value)
-    return x if not math.isfinite(x) or x == 0.0 else float(f"{x:.12g}")
 
 
 def _finite(text: str) -> float:
@@ -63,35 +56,31 @@ def write_csv(
     columns: Sequence[str],
     rows: Iterable[Sequence],
 ) -> None:
-    """Write manifest comments, the column row, then formatted data rows."""
+    """Write the manifest comment, the column row, then data rows (numbers via ``format_number``)."""
     stream, owned = _open_out(path)
     try:
-        _write_manifest_comment(stream, manifest)
+        stream.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
         stream.write(",".join(columns) + "\n")
         for row in rows:
-            stream.write(",".join(_format_cell(cell) for cell in row) + "\n")
+            stream.write(
+                ",".join(c if isinstance(c, str) else format_number(c) for c in row) + "\n"
+            )
     finally:
         if owned:
             stream.close()
 
 
-def _format_cell(cell) -> str:
-    if isinstance(cell, str):
-        return cell
-    return format_number(cell)
-
-
-def _write_manifest_comment(stream: TextIO, manifest: dict) -> None:
-    stream.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
-
-
 def write_json(path: str | None, manifest: dict, payload: dict) -> None:
-    """Write one flat JSON object with the manifest embedded under 'manifest'."""
-    document = {"manifest": manifest}
-    document.update(payload)
+    """Write one flat JSON object with the manifest embedded under 'manifest'.
+
+    The text is built before the output opens, so a payload holding NaN or an
+    infinity raises ``ValueError`` and leaves no file behind.
+    """
+    document = _rounded({"manifest": manifest, **payload})
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     stream, owned = _open_out(path)
     try:
-        stream.write(json.dumps(_rounded(document), indent=2, sort_keys=True) + "\n")
+        stream.write(text)
     finally:
         if owned:
             stream.close()
@@ -102,12 +91,8 @@ def _rounded(node):
         return {k: _rounded(v) for k, v in node.items()}
     if isinstance(node, (list, tuple)):
         return [_rounded(v) for v in node]
-    if isinstance(node, (bool, int, str)) or node is None:
-        return node
-    if isinstance(node, (float, np.floating)):
-        return _round12(node)
-    if isinstance(node, np.integer):
-        return int(node)
+    if isinstance(node, float):
+        return float(f"{node:.12g}")
     return node
 
 
@@ -124,7 +109,8 @@ def read_average_csv(path: str):
     manifest = None
     header: list[str] | None = None
     data: list[list[float]] = []
-    line_numbers: list[int] = []
+    bad_t = None  # the first bad t, raised once the rows are known to be well formed
+    previous = 0.0
     with open(path, "r", encoding="utf-8") as stream:
         for line_no, raw in enumerate(stream, start=1):
             line = raw.strip()
@@ -157,21 +143,20 @@ def read_average_csv(path: str):
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{path}:{line_no}: non-finite cell in {line!r}")
             data.append(values)
-            line_numbers.append(line_no)
+            if bad_t is None and "t" in header:
+                t = values[header.index("t")]
+                if t < 1 or t != math.floor(t):
+                    bad_t = f"{path}:{line_no}: t must be a positive integer, got {t!r}"
+                elif t <= previous:
+                    bad_t = f"{path}:{line_no}: t must increase from row to row, got {t:g} after {previous:g}"
+                previous = t
     if header is None or not data:
         raise ValueError(f"{path}: no trajectory data found")
     for required in ("t", "mean_S"):
         if required not in header:
             raise ValueError(f"{path}: missing required column {required!r}")
-    t_col = header.index("t")
-    previous = 0.0
-    for line_no, values in zip(line_numbers, data):
-        t = values[t_col]
-        if t < 1 or t != math.floor(t):
-            raise ValueError(f"{path}:{line_no}: t must be a positive integer, got {t!r}")
-        if t <= previous:
-            raise ValueError(f"{path}:{line_no}: t must increase from row to row, got {t:g} after {previous:g}")
-        previous = t
+    if bad_t is not None:
+        raise ValueError(bad_t)
     table = np.asarray(data)
     mean_col = header.index("mean_S")
     std = (
@@ -180,7 +165,7 @@ def read_average_csv(path: str):
         else np.zeros(table.shape[0])
     )
     return manifest, AverageTrajectory(
-        steps=table[:, t_col].astype(int),
+        steps=table[:, header.index("t")].astype(int),
         mean_s=table[:, mean_col],
         std_s=std,
     )

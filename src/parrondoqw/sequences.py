@@ -4,13 +4,16 @@ A sequence is a finite repeating pattern; the coin applied at (1-based) step
 ``i`` is ``pattern[(i - 1) % len(pattern)]``.  So ``XXH`` applies X at steps
 1 and 2, H at step 3, X again at steps 4 and 5, and so on.  The first pattern
 symbol acting at step 1 is the convention everything downstream relies on.
+
+A sequence holds only its letters: ``coin_at`` hands out the shared read-only
+matrices of ``coins.named_coin``, which is also the one check of a letter.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -21,7 +24,7 @@ __all__ = ["CoinSequence", "parse", "enumerate_patterns"]
 
 MAX_ENUMERATION_PERIOD = 6
 
-_LABEL_RE = re.compile(r"^([HFMXhfmx]+)(\.\.\.)?$")
+_LABEL_RE = re.compile(rf"^([{ALPHABET}{ALPHABET.lower()}]+)(\.\.\.)?$")
 
 
 @dataclass(frozen=True)
@@ -29,32 +32,23 @@ class CoinSequence:
     """A repeating unit of coin names, e.g. ``('X', 'X', 'H')``."""
 
     pattern: tuple[str, ...]
-    label: str = ""
-    _matrices: tuple[NDArray[np.complex128], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not self.pattern:
             raise ValueError("coin sequence pattern must be nonempty")
-        normalized = tuple(str(name).upper() for name in self.pattern)
-        for name in normalized:
-            if name not in ALPHABET:
-                raise ValueError(
-                    f"unknown coin {name!r} in pattern: alphabet is {ALPHABET}"
-                )
-        object.__setattr__(self, "pattern", normalized)
-        if not self.label:
-            object.__setattr__(self, "label", "".join(normalized))
-        object.__setattr__(
-            self, "_matrices", tuple(named_coin(name) for name in normalized)
-        )
+        for name in self.pattern:
+            named_coin(name)  # rejects a letter outside the alphabet
+        object.__setattr__(self, "pattern", tuple(name.upper() for name in self.pattern))
+
+    @property
+    def label(self) -> str:
+        return "".join(self.pattern)
 
     def coin_at(self, step_index: int) -> NDArray[np.complex128]:
-        """Coin matrix used at 1-based step ``step_index``."""
+        """Coin matrix used at 1-based step ``step_index`` (read-only, see ``named_coin``)."""
         if step_index < 1:
             raise ValueError(f"step_index must be >= 1, got {step_index}")
-        return self._matrices[(step_index - 1) % len(self.pattern)]
+        return named_coin(self.pattern[(step_index - 1) % len(self.pattern)])
 
     def is_single_coin(self) -> bool:
         return len(set(self.pattern)) == 1
@@ -96,9 +90,6 @@ def enumerate_patterns(alphabet: str, max_period: int) -> list[CoinSequence]:
     letters = [str(c).upper() for c in alphabet]
     if not letters or len(set(letters)) != len(letters):
         raise ValueError(f"alphabet must be nonempty without duplicates, got {alphabet!r}")
-    for c in letters:
-        if c not in ALPHABET:
-            raise ValueError(f"unknown coin {c!r} in alphabet: supported are {ALPHABET}")
     if not 1 <= max_period <= MAX_ENUMERATION_PERIOD:
         raise ValueError(
             f"max_period must be in 1..{MAX_ENUMERATION_PERIOD}, got {max_period}"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from parrondoqw.cli import main
+from parrondoqw.output import write_json
 
 SQRT2 = math.sqrt(2.0)
 
@@ -234,6 +235,28 @@ def test_fit_manifest_is_a_finite_json_object(tmp_path, capsys, manifest, accept
         assert err == f"error: {traj}:1: malformed manifest\n"
 
 
+@pytest.mark.parametrize("mean_s, extrapolate", [
+    ([(-1) ** (t + 1) * 1e308 for t in range(1, 21)], "400"),
+    ([1e306 * math.log(t) + 1.2 for t in range(1, 21)], "1" + "0" * 400),
+], ids=["alternating-1e308", "huge-slope"])
+def test_fit_that_overflows_is_an_error(tmp_path, capsys, mean_s, extrapolate):
+    traj = tmp_path / "traj.csv"
+    out = tmp_path / "fit.json"
+    traj.write_text("t,mean_S\n" + "".join(f"{t},{s!r}\n" for t, s in enumerate(mean_s, start=1)))
+    assert run("fit", "--in", traj, "--tmin", 1, "--extrapolate", extrapolate, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: log fit gives a non-finite ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_write_json_refuses_non_finite_payload(tmp_path):
+    out = tmp_path / "out.json"
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(str(out), {}, {"x": value})
+        assert not out.exists()
+
+
 def test_fit_rejects_malformed_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,mean_S\n1,notanumber\n")
@@ -302,9 +325,12 @@ def test_compare_t_list_rejects_non_positive_steps(capsys, value):
 
 def test_parrondo_verdict_json(tmp_path):
     out = tmp_path / "parrondo.json"
-    assert run("parrondo", "--ab", "XXH", "--a", "X", "--b", "H", "--t", 50,
+    assert run("parrondo", "--ab", "xxh", "--a", "x", "--b", "h", "--t", 50,
                "--samples", 100, "--seed", 1, "--out", out) == 0
     report = json.loads(out.read_text())
+    echoed = {k: report[k] for k in ("sequence", "single_a", "single_b", "t", "samples", "seed")}
+    assert echoed == {"sequence": "XXH", "single_a": "X", "single_b": "H",
+                      "t": 50, "samples": 100, "seed": 1}
     assert report["is_parrondo"] is True
     assert report["mean_combined"] > report["mean_a"]
     assert report["mean_combined"] > report["mean_b"]

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parrondoqw.coins import ALPHABET, named_coin
+from parrondoqw.experiments import coin_densities
 from parrondoqw.oracles import NAMED_COIN_PARAMS, CoinParams, build_coin, verify_unitarity
+from parrondoqw.sequences import parse
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -38,10 +40,15 @@ def test_named_coin_case_insensitive():
     np.testing.assert_array_equal(named_coin("x"), named_coin("X"))
 
 
-def test_named_coin_returns_fresh_copy():
-    a = named_coin("H")
-    a[0, 0] = 99.0
-    assert named_coin("H")[0, 0] != 99.0
+def test_no_caller_can_change_a_coin():
+    sequence = parse("H")
+    before = [d.copy() for d in next(coin_densities([[1.0, 0.5]], sequence, 1))]
+    for matrix in (named_coin("H"), sequence.coin_at(1)):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[:] = np.eye(2)
+    after = next(coin_densities([[1.0, 0.5]], sequence, 1))
+    for old, new in zip(before, after):
+        assert old.tobytes() == new.tobytes()
 
 
 def test_unknown_coin_rejected():
