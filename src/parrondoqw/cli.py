@@ -23,6 +23,8 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .entanglement import MAX_SCHMIDT_NORM, eigenvalues_from
 from .experiments import (
@@ -35,7 +37,7 @@ from .experiments import (
     log_fit,
     parrondo_check,
 )
-from .output import format_number, read_average_csv, write_csv, write_json
+from .output import format_column, read_average_csv, write_csv, write_json
 from .sequences import enumerate_patterns, parse
 
 __all__ = ["main"]
@@ -171,31 +173,31 @@ def _cmd_trace(args) -> None:
     sequence = parse(args.seq)
     _angle_arrays([[theta, phi]])
     args.seq, args.theta, args.phi = sequence.label, theta, phi % TWO_PI
-    rows = []
     densities = coin_densities([[args.theta, args.phi]], sequence, args.steps)
-    for t, (pop0, pop1, coherence) in enumerate(densities, start=1):
-        pop0, pop1, coherence = pop0[0], pop1[0], coherence[0]
-        e_minus, e_plus = eigenvalues_from(pop0, pop1, coherence)
-        rows.append((
-            t, math.sqrt(e_minus) + math.sqrt(e_plus), pop0, pop1,
-            coherence.real, coherence.imag, e_minus, e_plus,
-        ))
-    write_csv(
-        args.out, _manifest(args),
-        ["t", "S", "pop0", "pop1", "re_coherence", "im_coherence", "E_minus", "E_plus"],
-        rows,
-    )
+    pop0, pop1, coherence = (np.concatenate(per_step) for per_step in zip(*densities))
+    e_minus, e_plus = eigenvalues_from(pop0, pop1, coherence)
+    write_csv(args.out, _manifest(args), {
+        "t": np.arange(1, args.steps + 1),
+        "S": np.sqrt(e_minus) + np.sqrt(e_plus),
+        "pop0": pop0,
+        "pop1": pop1,
+        "re_coherence": coherence.real,
+        "im_coherence": coherence.imag,
+        "E_minus": e_minus,
+        "E_plus": e_plus,
+    })
 
 
 def _cmd_average(args) -> None:
     sequence = parse(args.seq)
     args.seq = sequence.label
     traj = average_schmidt(sequence, args.steps, args.samples, args.seed)
-    rows = (
-        (int(t), m, s, m / MAX_SCHMIDT_NORM)
-        for t, m, s in zip(traj.steps, traj.mean_s, traj.std_s)
-    )
-    write_csv(args.out, _manifest(args), ["t", "mean_S", "std_S", "mean_S_over_sqrt2"], rows)
+    write_csv(args.out, _manifest(args), {
+        "t": traj.steps,
+        "mean_S": traj.mean_s,
+        "std_S": traj.std_s,
+        "mean_S_over_sqrt2": traj.mean_s / MAX_SCHMIDT_NORM,
+    })
 
 
 def _cmd_fit(args) -> None:
@@ -224,14 +226,13 @@ def _cmd_grid(args) -> None:
     args.seq = sequence.label
     result = grid_schmidt(sequence, args.t, args.theta_steps, args.phi_steps)
     # Format each axis value once: every cell of a row or column repeats it.
-    thetas = [format_number(theta) for theta in result.theta_axis]
-    phis = [format_number(phi) for phi in result.phi_axis]
-    rows = (
-        (theta, phi, result.values[i, j])
-        for i, theta in enumerate(thetas)
-        for j, phi in enumerate(phis)
-    )
-    write_csv(args.out, _manifest(args), ["theta", "phi", "S"], rows)
+    thetas = format_column(result.theta_axis)
+    phis = format_column(result.phi_axis)
+    write_csv(args.out, _manifest(args), {
+        "theta": [theta for theta in thetas for _ in phis],
+        "phi": phis * len(thetas),
+        "S": result.values.ravel(),
+    })
 
 
 def _cmd_compare(args) -> None:
@@ -271,11 +272,12 @@ def _cmd_search(args) -> None:
 
 
 def _write_comparison(args, rows) -> None:
-    write_csv(
-        args.out, _manifest(args),
-        ["sequence", "t", "mean_S", "mean_S_over_sqrt2"],
-        ((r.sequence_label, r.t, r.mean_s, r.mean_s_over_sqrt2) for r in rows),
-    )
+    write_csv(args.out, _manifest(args), {
+        "sequence": [r.sequence_label for r in rows],
+        "t": [r.t for r in rows],
+        "mean_S": [r.mean_s for r in rows],
+        "mean_S_over_sqrt2": [r.mean_s_over_sqrt2 for r in rows],
+    })
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -283,8 +285,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.run(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -172,13 +172,17 @@ def _coin_channel(sequence: CoinSequence, steps: int, record_steps: Sequence[int
     ``[A0 A1] = Q [R0 R1]`` the populations and coherence of ``c`` are those
     of the at most six amplitudes ``R0 c``, ``R1 c``: the Gram matrices
     ``c^dag A0^dag A0 c`` etc. in square-root form, so a population that is
-    tiny through cancellation keeps its relative accuracy.
+    tiny through cancellation keeps its relative accuracy.  ``record_steps``
+    is strictly increasing and read one step at a time, so a ``range`` of
+    every step is never held in memory.
     """
-    recorded = set(record_steps)
+    pending = iter(record_steps)
+    next_step = next(pending, None)
     for t, (amp0, amp1) in enumerate(basis_walk(sequence, steps), start=1):
-        if t in recorded:
+        if t == next_step:
             r = np.linalg.qr(np.concatenate((amp0, amp1)).T, mode="r")
             yield r[:2, :2], r[:, 2:]
+            next_step = next(pending, None)
 
 
 def _channel_reduction(r0, r1, coin0, coin1):

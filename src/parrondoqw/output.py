@@ -2,11 +2,12 @@
 
 Contract: every output file starts with '#'-prefixed comment lines carrying
 the run manifest (command, version, all experiment parameters), followed by a
-column-name row, then data rows.  Numbers are printed at 12 significant
-digits, scientific notation when |x| < 1e-3; JSON floats are rounded to the
-same 12 digits, and a JSON payload that is not finite is refused before any
-file opens.  Nothing time- or machine-dependent is ever written, so
-identical invocations produce byte-identical files.
+column-name row, then data rows.  A CSV table comes in as columns and goes
+out in blocks of ``BLOCK_ROWS`` rows; within a block each column is formatted
+in one pass by ``format_column``, which holds the package's one number rule.
+JSON floats are rounded to the same 12 digits, and a JSON payload that is not
+finite is refused before any file opens.  Nothing time- or machine-dependent
+is ever written, so identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,26 +15,41 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "format_number",
+    "format_column",
     "write_csv",
     "write_json",
     "read_average_csv",
 ]
 
+#: Rows formatted and written at a time: the text of at most one block exists.
+BLOCK_ROWS = 1 << 14
 
-def format_number(value) -> str:
-    """12-significant-digit text form; scientific when |x| < 1e-3 (zero included)."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    x = float(value)
-    if abs(x) < 1e-3:
-        return f"{x:.11e}"
-    return f"{x:.12g}"
+
+def format_column(values) -> list[str]:
+    """Text of every cell of one column, by the package's one number rule.
+
+    Floats print at 12 significant digits (``%.12g``), in scientific form
+    ``%.11e`` when ``|x| < 1e-3`` (zero, -0.0 and subnormals included); nan
+    and the infinities print as ``nan``, ``inf`` and ``-inf``.  Integers
+    print as integers.  A list of strings is text already and passes through
+    unchanged.
+    """
+    if isinstance(values, list) and values and isinstance(values[0], str):
+        return values
+    array = np.asarray(values)
+    cells = array.tolist()
+    if array.dtype.kind in "iu":
+        return list(map(str, cells))
+    texts = ("%.12g\n" * len(cells) % tuple(cells)).split("\n")
+    texts.pop()
+    for i in np.flatnonzero(np.abs(array) < 1e-3).tolist():
+        texts[i] = "%.11e" % cells[i]
+    return texts
 
 
 def _finite(text: str) -> float:
@@ -50,21 +66,25 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8", newline="\n"), True
 
 
-def write_csv(
-    path: str | None,
-    manifest: dict,
-    columns: Sequence[str],
-    rows: Iterable[Sequence],
-) -> None:
-    """Write the manifest comment, the column row, then data rows (numbers via ``format_number``)."""
+def write_csv(path: str | None, manifest: dict, table: dict[str, Sequence]) -> None:
+    """Write the manifest comment, the column row, then the rows of ``table``.
+
+    ``table`` maps each column name, in order, to its cells: a numpy array or
+    sequence of numbers, or a list of strings already formatted.  Every
+    column has the same length.  Rows go out ``BLOCK_ROWS`` at a time, each
+    block's columns formatted by ``format_column``.
+    """
+    columns = list(table.values())
+    n_rows = len(columns[0])
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError(f"columns differ in length: {[len(column) for column in columns]}")
     stream, owned = _open_out(path)
     try:
         stream.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            stream.write(
-                ",".join(c if isinstance(c, str) else format_number(c) for c in row) + "\n"
-            )
+        stream.write(",".join(table) + "\n")
+        for start in range(0, n_rows, BLOCK_ROWS):
+            texts = [format_column(column[start:start + BLOCK_ROWS]) for column in columns]
+            stream.write("\n".join(map(",".join, zip(*texts))) + "\n")
     finally:
         if owned:
             stream.close()

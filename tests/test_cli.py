@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -437,3 +438,60 @@ def test_manifest_is_pinned(tmp_path, monkeypatch, capsys, command):
         assert json.dumps(json.loads(text)["manifest"], sort_keys=True) == expected
     else:
         assert text.splitlines()[0] == f"# manifest: {expected}"
+
+
+# ---------------------------------------------------------------------------
+# data bytes: the whole output of one small run of each CSV command
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the complete output (manifest, column row and every data row),
+# recorded with the row-at-a-time writer that the columnar one replaced.  The
+# trace run prints exact zeros as 0.00000000000e+00.
+CSV_SHA256 = {
+    "trace": (
+        ["trace", "--seq", "XXH", "--theta", "1", "--phi", "2", "--steps", "5"],
+        "aca2fb5a7804eeeef69c38a0314e7835827f5e64b1f899ef9d6f6967115f03c2",
+    ),
+    "average": (
+        ["average", "--seq", "MMF", "--steps", "20", "--samples", "50"],
+        "de67e5bc20b7f86484caacceac26816328b9b6c88845c7b003fcce540bd166db",
+    ),
+    "grid": (
+        ["grid", "--seq", "HHH", "--t", "8", "--theta-steps", "37", "--phi-steps", "72"],
+        "58b17d7d026e2abe4be450ed8888c9ac5f60260a17f468ff3591b9cfc47a9b02",
+    ),
+    "compare": (
+        ["compare", "--seqs", "XXH,HHH", "--t-list", "3,5"],
+        "f6ae8f3495e749cfd969ce4e42091050f5ce34dc4ee588b8c0e0fb0852fe2b0f",
+    ),
+    "search": (
+        ["search", "--max-period", "2", "--t", "4", "--samples", "20"],
+        "bcaef0baae05d8c1a0e9f7e2694e5314462fc77c135fb9007b2780ff80e3c408",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_SHA256))
+def test_csv_bytes_are_pinned(tmp_path, command):
+    argv, expected = CSV_SHA256[command]
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+# ---------------------------------------------------------------------------
+# allocations that cannot succeed
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--seq", "H", "--t", "10000000000000", "--theta-steps", "2", "--phi-steps", "2"],
+    ["average", "--seq", "H", "--steps", "10000000000000", "--samples", "1"],
+    ["trace", "--seq", "H", "--theta", "1", "--steps", "10000000000000"],
+], ids=["grid", "average", "trace"])
+def test_oversized_walk_is_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
