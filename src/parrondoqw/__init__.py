@@ -21,7 +21,6 @@ from .experiments import (
     parrondo_check,
     phase_independence_certificate,
     sample_initial_states,
-    schmidt_trajectories,
 )
 from .sequences import CoinSequence, enumerate_patterns, parse
 from .walk import basis_walk
@@ -50,6 +49,5 @@ __all__ = [
     "phase_independence_certificate",
     "sample_initial_states",
     "schmidt_norm_from",
-    "schmidt_trajectories",
     "__version__",
 ]

@@ -272,11 +272,12 @@ def _cmd_search(args) -> None:
 
 
 def _write_comparison(args, rows) -> None:
+    mean_s = np.array([r.mean_s for r in rows])
     write_csv(args.out, _manifest(args), {
         "sequence": [r.sequence_label for r in rows],
         "t": [r.t for r in rows],
-        "mean_S": [r.mean_s for r in rows],
-        "mean_S_over_sqrt2": [r.mean_s_over_sqrt2 for r in rows],
+        "mean_S": mean_s,
+        "mean_S_over_sqrt2": mean_s / MAX_SCHMIDT_NORM,
     })
 
 

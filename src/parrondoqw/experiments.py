@@ -34,7 +34,6 @@ __all__ = [
     "ParrondoReport",
     "sample_initial_states",
     "coin_densities",
-    "schmidt_trajectories",
     "average_schmidt",
     "log_fit",
     "grid_schmidt",
@@ -92,10 +91,6 @@ class ComparisonRow:
     sequence_label: str
     t: int
     mean_s: float
-
-    @property
-    def mean_s_over_sqrt2(self) -> float:
-        return self.mean_s / MAX_SCHMIDT_NORM
 
 
 @dataclass
@@ -234,25 +229,6 @@ def coin_densities(
         yield _channel_reduction(r0, r1, coin0, coin1)
 
 
-def schmidt_trajectories(
-    states,
-    sequence: CoinSequence,
-    steps: int,
-    record_steps: Sequence[int] | None = None,
-) -> NDArray[np.float64]:
-    """Per-sample Schmidt norm at the recorded steps; shape (n_recorded, n_states).
-
-    Arguments are those of ``coin_densities``; row i belongs to
-    ``record_steps[i]``.  Each sample's S is bitwise independent of the other
-    samples in the batch.
-    """
-    record_steps = range(1, steps + 1) if record_steps is None else list(record_steps)
-    out = np.empty((len(record_steps), len(states)), dtype=np.float64)
-    for row, densities in enumerate(coin_densities(states, sequence, steps, record_steps)):
-        out[row] = schmidt_norm_from(*densities)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Protocols.
 # ---------------------------------------------------------------------------
@@ -356,11 +332,11 @@ def grid_schmidt(
 ) -> GridResult:
     """Schmidt norm at step ``t`` on a regular (theta, phi) grid; deterministic."""
     theta_axis, phi_axis, angles = _grid_angles(theta_steps, phi_steps)
-    traj = schmidt_trajectories(angles, sequence, t, record_steps=[t])
+    (densities,) = coin_densities(angles, sequence, t, record_steps=[t])
     return GridResult(
         theta_axis=theta_axis,
         phi_axis=phi_axis,
-        values=traj[0].reshape(theta_steps, phi_steps),
+        values=schmidt_norm_from(*densities).reshape(theta_steps, phi_steps),
     )
 
 
@@ -376,9 +352,11 @@ def phase_independence_certificate(
     below the working tolerance (1e-10 throughout this package).
     """
     _, _, angles = _grid_angles(theta_samples, phi_samples)
-    traj = schmidt_trajectories(angles, sequence, t_max)
-    grids = traj.reshape(t_max, theta_samples, phi_samples)
-    return np.max(np.abs(grids - grids[:, :, :1]), axis=(1, 2))
+    deviations = []
+    for densities in coin_densities(angles, sequence, t_max):
+        grid = schmidt_norm_from(*densities).reshape(theta_samples, phi_samples)
+        deviations.append(np.max(np.abs(grid - grid[:, :1])))
+    return np.array(deviations)
 
 
 def parrondo_check(
@@ -412,7 +390,8 @@ def compare_table(
 
     Rows are ordered by step, then descending mean, ties broken by label.
     Rows are keyed by label and step: a repeated label gives one set of rows,
-    a repeated step repeats its rows.
+    a repeated step repeats its rows.  Each recorded step is reduced to its
+    mean as it comes, so memory is O(samples), not O(steps*samples).
     """
     if not candidates:
         raise ValueError("need at least one candidate sequence")
@@ -422,8 +401,8 @@ def compare_table(
     recorded = sorted(set(step_list))
     means = {}
     for seq in candidates:
-        traj = schmidt_trajectories(states, seq, recorded[-1], record_steps=recorded)
-        means[seq.label] = {t: float(row.mean()) for t, row in zip(recorded, traj)}
+        stream = coin_densities(states, seq, recorded[-1], record_steps=recorded)
+        means[seq.label] = {t: float(schmidt_norm_from(*d).mean()) for t, d in zip(recorded, stream)}
     rows = [
         ComparisonRow(label, int(t), per_step[t])
         for t in step_list

@@ -122,7 +122,8 @@ def read_average_csv(path: str):
     Returns (manifest_or_None, AverageTrajectory).  Raises ValueError on
     malformed input (a manifest that is not a JSON object of finite numbers,
     missing columns, non-numeric or non-finite cells, no data rows, a ``t``
-    that is not a positive integer or does not increase from row to row).
+    that is not a positive integer below 2**63 or does not increase from row
+    to row).
     """
     from .experiments import AverageTrajectory
 
@@ -167,6 +168,8 @@ def read_average_csv(path: str):
                 t = values[header.index("t")]
                 if t < 1 or t != math.floor(t):
                     bad_t = f"{path}:{line_no}: t must be a positive integer, got {t!r}"
+                elif t >= 2**63:
+                    bad_t = f"{path}:{line_no}: t must be below 2**63, got {t!r}"
                 elif t <= previous:
                     bad_t = f"{path}:{line_no}: t must increase from row to row, got {t:g} after {previous:g}"
                 previous = t

@@ -9,16 +9,16 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from parrondoqw.cli import main
+from parrondoqw.entanglement import schmidt_norm_from
 from parrondoqw.experiments import (
     _grid_angles,
     average_schmidt,
+    coin_densities,
     log_fit,
     phase_independence_certificate,
     sample_initial_states,
-    schmidt_trajectories,
 )
 from parrondoqw.oracles import InitialState, closed_form_oracle, dense_reference_evolve
 from parrondoqw.sequences import parse
@@ -26,6 +26,12 @@ from parrondoqw.walk import basis_walk
 
 SQRT2 = math.sqrt(2.0)
 GRID_THETA, GRID_PHI = 37, 72
+
+
+def _stacked_schmidt(states, sequence, steps, record_steps=None):
+    """S of every state at the recorded steps, one row per step, from the engine's stream."""
+    densities = coin_densities(states, sequence, steps, record_steps)
+    return np.array([schmidt_norm_from(*d) for d in densities])
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -38,7 +44,7 @@ def test_criterion_1_maximal_entanglement_at_steps_3_and_5():
     states = sample_initial_states(1000, seed=1)
     worst = 0.0
     for label in ("XXH", "XXF", "XXM"):
-        values = schmidt_trajectories(states, parse(label), 5, record_steps=[3, 5])
+        values = _stacked_schmidt(states, parse(label), 5, record_steps=[3, 5])
         worst = max(worst, float(np.max(np.abs(values - SQRT2))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 1.0
@@ -51,12 +57,12 @@ def test_criterion_2_closed_form_oracle_suite():
     _, _, angles = _grid_angles(GRID_THETA, GRID_PHI)
     states = [InitialState(theta, phi) for theta, phi in angles]
     worst = 0.0
-    xxh = schmidt_trajectories(angles, parse("XXH"), 6)
+    xxh = _stacked_schmidt(angles, parse("XXH"), 6)
     for i, initial in enumerate(states):
         for t in range(1, 7):
             worst = max(worst, abs(xxh[t - 1][i] - closed_form_oracle("XXH", t, initial)))
     for tag in ("H", "F", "M"):
-        one = schmidt_trajectories(angles, parse(tag), 1)
+        one = _stacked_schmidt(angles, parse(tag), 1)
         for i, initial in enumerate(states):
             worst = max(worst, abs(one[0][i] - closed_form_oracle(tag, 1, initial)))
     elapsed = time.perf_counter() - start
@@ -93,9 +99,9 @@ def _phase_shift_deviations(roll_f: int, roll_m: int, phase_sign: int) -> float:
     ])
     record = [1, 5, 20, 50]
     shape = (len(record), GRID_THETA, GRID_PHI)
-    g_h = schmidt_trajectories(states, parse("HHH"), 50, record_steps=record).reshape(shape)
-    g_f = schmidt_trajectories(states, parse("FFF"), 50, record_steps=record).reshape(shape)
-    g_m = schmidt_trajectories(states, parse("MMM"), 50, record_steps=record).reshape(shape)
+    g_h = _stacked_schmidt(states, parse("HHH"), 50, record_steps=record).reshape(shape)
+    g_f = _stacked_schmidt(states, parse("FFF"), 50, record_steps=record).reshape(shape)
+    g_m = _stacked_schmidt(states, parse("MMM"), 50, record_steps=record).reshape(shape)
     worst = 0.0
     for row in range(len(record)):
         worst = max(worst, float(np.max(np.abs(g_f[row] - np.roll(g_h[row], roll_f, axis=1)))))
@@ -139,7 +145,7 @@ def test_criterion_4_phase_shift_equivalence_true_directions():
 
 def test_criterion_5_x_baseline_analytic_mean():
     states = sample_initial_states(100000, seed=3)
-    values = schmidt_trajectories(states, parse("XXX"), 50, record_steps=[1, 10, 50])
+    values = _stacked_schmidt(states, parse("XXX"), 50, record_steps=[1, 10, 50])
     target = 4.0 / math.pi
     worst = float(np.max(np.abs(values.mean(axis=1) - target)))
     _report(5, worst < 0.01,
@@ -150,7 +156,7 @@ def test_criterion_6_parrondo_ordering():
     states = sample_initial_states(100, seed=1)
 
     def mean_at_50(label):
-        return float(schmidt_trajectories(states, parse(label), 50, record_steps=[50]).mean())
+        return float(_stacked_schmidt(states, parse(label), 50, record_steps=[50]).mean())
 
     xxh, hhh, xxx = mean_at_50("XXH"), mean_at_50("HHH"), mean_at_50("XXX")
     xhh, h, x = mean_at_50("XHH"), mean_at_50("H"), mean_at_50("X")

@@ -195,7 +195,9 @@ def test_fit_extrapolate_rejects_non_positive_steps(tmp_path, capsys, value):
     ("0,1,2,3,4,5", 2, "t must be a positive integer, got 0.0"),
     ("-3,1,2,3,4,5", 2, "t must be a positive integer, got -3.0"),
     ("1,2,3,3,4,5", 5, "t must increase from row to row, got 3 after 3"),
-], ids=["unsorted", "non-integer", "zero", "negative", "repeated"])
+    ("1,2,3,4,5,6,7,8,9,10,1e300", 12, "t must be below 2**63, got 1e+300"),
+    ("1,2,3,4,5,6,7,8,9,10,9.3e18", 12, "t must be below 2**63, got 9.3e+18"),
+], ids=["unsorted", "non-integer", "zero", "negative", "repeated", "huge", "above-int64"])
 def test_fit_rejects_bad_t_column(tmp_path, capsys, t_cells, bad_line, message):
     bad = tmp_path / "bad.csv"
     out = tmp_path / "fit.json"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parrondoqw.entanglement import MAX_SCHMIDT_NORM, eigenvalues_from, schmidt_norm_from
-from parrondoqw.experiments import coin_densities, schmidt_trajectories
+from parrondoqw.experiments import coin_densities
 from parrondoqw.oracles import InitialState, closed_form_oracle, dense_reference_evolve
 from parrondoqw.sequences import parse
 
@@ -162,7 +162,8 @@ def test_oracle_matches_simulation_on_sample_points():
     for tag, t in (("XXH", 1), ("XXH", 2), ("XXH", 4), ("XXH", 6), ("H", 1), ("F", 1), ("M", 1)):
         for theta, phi in ((0.4, 1.3), (2.5, 5.9)):
             initial = InitialState(theta, phi)
-            simulated = schmidt_trajectories([[theta, phi]], parse(tag), t, record_steps=[t])[0, 0]
+            (densities,) = coin_densities([[theta, phi]], parse(tag), t, record_steps=[t])
+            simulated = schmidt_norm_from(*densities)[0]
             assert simulated == pytest.approx(
                 closed_form_oracle(tag, t, initial), abs=1e-12
             )

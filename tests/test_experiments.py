@@ -7,19 +7,25 @@ import pytest
 from parrondoqw.experiments import (
     AverageTrajectory,
     average_schmidt,
+    coin_densities,
     compare_table,
     grid_schmidt,
     log_fit,
     parrondo_check,
     phase_independence_certificate,
     sample_initial_states,
-    schmidt_trajectories,
 )
 from parrondoqw.entanglement import schmidt_norm_from
 from parrondoqw.oracles import InitialState, dense_reference_evolve
 from parrondoqw.sequences import parse
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _stacked_schmidt(states, sequence, steps, record_steps=None):
+    """S of every state at the recorded steps, one row per step, from the engine's stream."""
+    densities = coin_densities(states, sequence, steps, record_steps)
+    return np.array([schmidt_norm_from(*d) for d in densities])
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +61,7 @@ def test_sampling_rejects_bad_count():
 
 
 # ---------------------------------------------------------------------------
-# schmidt_trajectories engine
+# coin_densities engine
 # ---------------------------------------------------------------------------
 
 
@@ -64,16 +70,16 @@ def test_trajectories_bitwise_independent_of_batch_composition():
     # sub-batch or reordering gives bitwise the same per-sample values.
     states = sample_initial_states(300, seed=5)
     sequence = parse("XHF")
-    baseline = schmidt_trajectories(states, sequence, 12)
+    baseline = _stacked_schmidt(states, sequence, 12)
     order = np.random.default_rng(0).permutation(len(states))
-    permuted = schmidt_trajectories(states[order], sequence, 12)
+    permuted = _stacked_schmidt(states[order], sequence, 12)
     assert np.array_equal(permuted, baseline[:, order])
     for part in (slice(0, 1), slice(0, 7), slice(5, 69), slice(1, 300), slice(None, None, 3)):
-        other = schmidt_trajectories(states[part], sequence, 12)
+        other = _stacked_schmidt(states[part], sequence, 12)
         assert np.array_equal(other, baseline[:, part])
     as_list = [[float(theta), float(phi)] for theta, phi in states]
-    assert np.array_equal(schmidt_trajectories(as_list, sequence, 12), baseline)
-    assert np.array_equal(schmidt_trajectories(states[::-1], sequence, 12), baseline[:, ::-1])
+    assert np.array_equal(_stacked_schmidt(as_list, sequence, 12), baseline)
+    assert np.array_equal(_stacked_schmidt(states[::-1], sequence, 12), baseline[:, ::-1])
 
 
 def _dense_schmidt(initial, sequence, t):
@@ -97,7 +103,7 @@ def test_trajectories_match_dense_reference_near_product_states():
     worst = 0.0
     for label in ("H", "F", "M", "X", "XXH", "MMF", "FMX"):
         sequence = parse(label)
-        values = schmidt_trajectories(angles, sequence, 20)
+        values = _stacked_schmidt(angles, sequence, 20)
         for i, initial in enumerate(states):
             for t in range(1, 21):
                 worst = max(worst, abs(values[t - 1, i] - _dense_schmidt(initial, sequence, t)))
@@ -107,16 +113,16 @@ def test_trajectories_match_dense_reference_near_product_states():
 def test_trajectories_reject_bad_angle_arrays():
     for bad in ([[0.5, np.nan]], [[-0.1, 0.0]], [[math.pi + 1e-9, 0.0]], [[np.inf, 1.0]]):
         with pytest.raises(ValueError, match="theta in \\[0, pi\\]"):
-            schmidt_trajectories(np.array(bad), parse("H"), 3)
+            _stacked_schmidt(np.array(bad), parse("H"), 3)
     for bad in (np.array([0.5, 1.0, 2.0]), np.full((3, 3), 0.5)):
         with pytest.raises(ValueError, match="shape \\(N, 2\\)"):
-            schmidt_trajectories(bad, parse("H"), 3)
+            _stacked_schmidt(bad, parse("H"), 3)
 
 
 def test_trajectories_record_steps_subset():
     states = sample_initial_states(20, seed=5)
-    full = schmidt_trajectories(states, parse("XXH"), 10)
-    subset = schmidt_trajectories(states, parse("XXH"), 10, record_steps=[3, 10])
+    full = _stacked_schmidt(states, parse("XXH"), 10)
+    subset = _stacked_schmidt(states, parse("XXH"), 10, record_steps=[3, 10])
     np.testing.assert_array_equal(subset[0], full[2])
     np.testing.assert_array_equal(subset[1], full[9])
 
@@ -125,7 +131,7 @@ def test_trajectories_record_steps_validation():
     states = sample_initial_states(2, seed=1)
     for bad in ([], [0], [3, 2], [1, 11]):
         with pytest.raises(ValueError):
-            schmidt_trajectories(states, parse("H"), 10, record_steps=bad)
+            _stacked_schmidt(states, parse("H"), 10, record_steps=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +158,7 @@ def test_average_reproducible_and_matches_engine():
     b = average_schmidt(parse("MMF"), 15, 50, seed=3)
     np.testing.assert_array_equal(a.mean_s, b.mean_s)
     np.testing.assert_array_equal(a.std_s, b.std_s)
-    traj = schmidt_trajectories(sample_initial_states(50, seed=3), parse("MMF"), 15)
+    traj = _stacked_schmidt(sample_initial_states(50, seed=3), parse("MMF"), 15)
     np.testing.assert_array_equal(a.mean_s, traj.mean(axis=1))
     np.testing.assert_array_equal(a.std_s, traj.std(axis=1))
 
@@ -164,12 +170,16 @@ def test_average_mean_within_physical_bounds():
     assert np.all(np.diff(trajectory.steps) > 0)
 
 
-def test_average_memory_is_bounded_by_samples():
+@pytest.mark.parametrize("run", [
+    lambda: average_schmidt(parse("XXX"), 400, 5000, 1),
+    lambda: compare_table([parse("XXX")], range(1, 401), 5000, 1),
+], ids=["average", "compare"])
+def test_average_memory_is_bounded_by_samples(run):
     # 400 steps x 5000 samples of S alone would take 16 MB; reducing each
     # step as it comes keeps the peak at a few (N,) arrays.
     tracemalloc.start()
     try:
-        average_schmidt(parse("XXX"), 400, 5000, 1)
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -318,7 +328,7 @@ def test_compare_table_multi_step_ordering():
     assert [(r.t, r.sequence_label) for r in rows][:2] == [(3, "XXH"), (3, "XXX")]
     assert all(rows[i].t <= rows[i + 1].t for i in range(len(rows) - 1))
     for row in rows:
-        assert 1.0 / SQRT2 - 1e-12 <= row.mean_s_over_sqrt2 <= 1.0 + 1e-12
+        assert 1.0 / SQRT2 - 1e-12 <= row.mean_s / SQRT2 <= 1.0 + 1e-12
 
 
 def test_compare_table_requires_candidates_and_steps():

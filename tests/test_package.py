@@ -28,7 +28,6 @@ PUBLIC = [
     "phase_independence_certificate",
     "sample_initial_states",
     "schmidt_norm_from",
-    "schmidt_trajectories",
 ]
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parrondoqw.coins import named_coin
-from parrondoqw.experiments import coin_densities, schmidt_trajectories
+from parrondoqw.entanglement import schmidt_norm_from
+from parrondoqw.experiments import coin_densities
 from parrondoqw.oracles import InitialState, dense_reference_evolve
 from parrondoqw.sequences import parse
 from parrondoqw.walk import basis_walk, mix_coin, shift_flip
@@ -151,17 +152,18 @@ def test_hadamard_step_from_pole_is_maximally_entangling():
     assert pop0[0] == pytest.approx(0.5, abs=1e-15)
     assert pop1[0] == pytest.approx(0.5, abs=1e-15)
     assert coherence[0] == 0.0
-    assert schmidt_trajectories([[0.0, 0.0]], parse("H"), 1)[0, 0] == pytest.approx(SQRT2, abs=1e-15)
+    assert schmidt_norm_from(pop0, pop1, coherence)[0] == pytest.approx(SQRT2, abs=1e-15)
 
 
 def test_double_x_step_preserves_schmidt_norm():
     angles = np.array([(0.7, 1.1), (2.2, 4.0), (math.pi / 2, 0.0)])
-    one, two = schmidt_trajectories(angles, parse("X"), 2)
+    one, two = (schmidt_norm_from(*d) for d in coin_densities(angles, parse("X"), 2))
     np.testing.assert_allclose(two, one, rtol=0, atol=1e-14)
 
 
 def test_six_xxh_steps_match_paper_value():
-    value = schmidt_trajectories([[math.pi / 2, 0.3]], parse("XXH"), 6, record_steps=[6])[0, 0]
+    (densities,) = coin_densities([[math.pi / 2, 0.3]], parse("XXH"), 6, record_steps=[6])
+    value = schmidt_norm_from(*densities)[0]
     expected = (math.sqrt(5.0) + math.sqrt(3.0)) / (2.0 * SQRT2)
     assert value == pytest.approx(expected, abs=1e-12)
 
