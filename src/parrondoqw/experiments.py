@@ -11,6 +11,9 @@ which draws every angle up front from a single seeded generator.
 
 Fairness rule for comparisons: a shared (seed-determined) initial-state set
 is evolved under every candidate sequence, never re-sampled per candidate.
+``compare_table`` walks its candidates together on the candidate axis of
+``basis_walk``, with one stacked QR per block and recorded step, then
+reduces each candidate on its own.
 """
 
 from __future__ import annotations
@@ -43,6 +46,12 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+#: Bytes of basis-walk state (two ``(2, 2*steps+1)`` complex planes per
+#: candidate) that ``compare_table`` walks at once.  The mix, shift and
+#: stacked QR hold a few times as much; larger blocks raise peak RSS for
+#: little gain in speed.
+WALK_BLOCK_BYTES = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -158,25 +167,27 @@ def _angle_arrays(states) -> tuple[NDArray, NDArray]:
 # ---------------------------------------------------------------------------
 
 
-def _coin_channel(sequence: CoinSequence, steps: int, record_steps: Sequence[int]):
-    """Yield ``(R0, R1)`` at each recorded step, the walk of every initial coin ``c``.
+def _coin_channel(sequences: Sequence[CoinSequence], steps: int, record_steps: Iterable[int]):
+    """Yield ``(R0, R1)`` stacks at each recorded step, the walks of every candidate and coin ``c``.
 
-    One ``basis_walk`` (a (2, positions) stack) gives ``amp0 = A0 c`` and
-    ``amp1 = A1 c``, column k of A0 / A1 being basis coin k's coin-0 / coin-1
-    plane.  With the QR factorization
+    One ``basis_walk`` (an (n, 2, positions) stack) gives, for candidate m,
+    ``amp0 = A0 c`` and ``amp1 = A1 c``, column k of A0 / A1 being basis coin
+    k's coin-0 / coin-1 plane.  With the QR factorization
     ``[A0 A1] = Q [R0 R1]`` the populations and coherence of ``c`` are those
     of the at most six amplitudes ``R0 c``, ``R1 c``: the Gram matrices
     ``c^dag A0^dag A0 c`` etc. in square-root form, so a population that is
-    tiny through cancellation keeps its relative accuracy.  ``record_steps``
-    is strictly increasing and read one step at a time, so a ``range`` of
-    every step is never held in memory.
+    tiny through cancellation keeps its relative accuracy.  Each recorded
+    step runs one stacked QR of the ``(n, positions, 4)`` matrices, and
+    ``R0[m]`` / ``R1[m]`` are candidate m's factors.  ``record_steps`` is
+    strictly increasing and read one step at a time, so a ``range`` of every
+    step is never held in memory.
     """
     pending = iter(record_steps)
     next_step = next(pending, None)
-    for t, (amp0, amp1) in enumerate(basis_walk(sequence, steps), start=1):
+    for t, (amp0, amp1) in enumerate(basis_walk(sequences, steps), start=1):
         if t == next_step:
-            r = np.linalg.qr(np.concatenate((amp0, amp1)).T, mode="r")
-            yield r[:2, :2], r[:, 2:]
+            r = np.linalg.qr(np.concatenate((amp0, amp1), axis=1).transpose(0, 2, 1), mode="r")
+            yield r[:, :2, :2], r[:, :, 2:]
             next_step = next(pending, None)
 
 
@@ -196,6 +207,26 @@ def _channel_reduction(r0, r1, coin0, coin1):
     return pop0, pop1, coherence
 
 
+def _record_steps(steps: int, record_steps: Iterable[int] | None) -> Sequence[int]:
+    """The validated steps to record: every step 1..steps by default."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if record_steps is None:
+        return range(1, steps + 1)
+    record_steps = list(record_steps)
+    if not record_steps or any(b <= a for a, b in zip(record_steps, record_steps[1:])):
+        raise ValueError("record_steps must be nonempty and strictly increasing")
+    if record_steps[0] < 1 or record_steps[-1] > steps:
+        raise ValueError(f"record_steps must lie within 1..{steps}")
+    return record_steps
+
+
+def _initial_coins(states) -> tuple[NDArray, NDArray]:
+    """Coin amplitudes ``(cos(theta/2), e^{i phi} sin(theta/2))`` of (theta, phi) rows."""
+    thetas, phis = _angle_arrays(states)
+    return np.cos(thetas / 2.0), np.exp(1j * phis) * np.sin(thetas / 2.0)
+
+
 def coin_densities(
     states,
     sequence: CoinSequence,
@@ -210,23 +241,10 @@ def coin_densities(
     increasing subset of that range.  Only one step's values are alive at a
     time, so a consumer that reduces each step keeps O(N) memory.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if record_steps is None:
-        record_steps = range(1, steps + 1)
-    else:
-        record_steps = list(record_steps)
-        if not record_steps or any(
-            b <= a for a, b in zip(record_steps, record_steps[1:])
-        ):
-            raise ValueError("record_steps must be nonempty and strictly increasing")
-        if record_steps[0] < 1 or record_steps[-1] > steps:
-            raise ValueError(f"record_steps must lie within 1..{steps}")
-    thetas, phis = _angle_arrays(states)
-    coin0 = np.cos(thetas / 2.0)
-    coin1 = np.exp(1j * phis) * np.sin(thetas / 2.0)
-    for r0, r1 in _coin_channel(sequence, steps, record_steps):
-        yield _channel_reduction(r0, r1, coin0, coin1)
+    record_steps = _record_steps(steps, record_steps)
+    coin0, coin1 = _initial_coins(states)
+    for r0, r1 in _coin_channel([sequence], steps, record_steps):
+        yield _channel_reduction(r0[0], r1[0], coin0, coin1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,24 +407,36 @@ def compare_table(
     """Mean S for every candidate at every requested step, on one shared sample set.
 
     Rows are ordered by step, then descending mean, ties broken by label.
-    Rows are keyed by label and step: a repeated label gives one set of rows,
-    a repeated step repeats its rows.  Each recorded step is reduced to its
-    mean as it comes, so memory is O(samples), not O(steps*samples).
+    Rows are keyed by label and step: a repeated label is walked once and
+    gives one set of rows, a repeated step repeats its rows.  Candidates walk
+    together in blocks of at most ``WALK_BLOCK_BYTES`` of walk state, and each
+    one's recorded steps are reduced to their means as they come, so memory
+    is O(samples + WALK_BLOCK_BYTES), not O(steps*samples).  A candidate's
+    means are bitwise those it gets walking alone.
     """
     if not candidates:
         raise ValueError("need at least one candidate sequence")
     if not step_list:
         raise ValueError("need at least one step value")
     states = sample_initial_states(samples, seed)
-    recorded = sorted(set(step_list))
-    means = {}
-    for seq in candidates:
-        stream = coin_densities(states, seq, recorded[-1], record_steps=recorded)
-        means[seq.label] = {t: float(schmidt_norm_from(*d).mean()) for t, d in zip(recorded, stream)}
+    steps = max(step_list)
+    recorded = _record_steps(steps, sorted(set(step_list)))
+    coin0, coin1 = _initial_coins(states)
+    distinct = list({seq.label: seq for seq in candidates}.values())
+    means = np.empty((len(distinct), len(recorded)))
+    # At least one candidate per block, however long its walk.
+    size = max(1, WALK_BLOCK_BYTES // (2 * 2 * (2 * steps + 1) * np.dtype(np.complex128).itemsize))
+    for start in range(0, len(distinct), size):
+        block = distinct[start:start + size]
+        for column, (r0, r1) in enumerate(_coin_channel(block, steps, recorded)):
+            for m, (r0_m, r1_m) in enumerate(zip(r0, r1), start=start):
+                densities = _channel_reduction(r0_m, r1_m, coin0, coin1)
+                means[m, column] = schmidt_norm_from(*densities).mean()
+    columns = {t: column for column, t in enumerate(recorded)}
     rows = [
-        ComparisonRow(label, int(t), per_step[t])
+        ComparisonRow(seq.label, int(t), float(means[m, columns[t]]))
         for t in step_list
-        for label, per_step in means.items()
+        for m, seq in enumerate(distinct)
     ]
     rows.sort(key=lambda r: (r.t, -r.mean_s, r.sequence_label))
     return rows

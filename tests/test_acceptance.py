@@ -192,7 +192,7 @@ def test_criterion_9_dense_oracle_equivalence():
         label = "".join(rng.choice(list("HFMX"), size=rng.integers(1, 5)))
         initial = InitialState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         sequence = parse(label)
-        *_, (amp0, amp1) = basis_walk(sequence, 20)
+        *_, ((amp0,), (amp1,)) = basis_walk([sequence], 20)
         c = initial.coin_amplitudes()
         dense = dense_reference_evolve(initial, sequence, 20)
         worst = max(worst, float(np.max(np.abs(c[0] * amp0[0] + c[1] * amp0[1] - dense[0::2]))),

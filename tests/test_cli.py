@@ -470,6 +470,11 @@ CSV_SHA256 = {
         ["search", "--max-period", "2", "--t", "4", "--samples", "20"],
         "bcaef0baae05d8c1a0e9f7e2694e5314462fc77c135fb9007b2780ff80e3c408",
     ),
+    # 76 candidates at t = 20: more than one block of the batched walk.
+    "search-blocks": (
+        ["search", "--max-period", "3", "--t", "20", "--samples", "50"],
+        "fb4e8d5ad064e912f92329cb301e800833d2e60f33e1ddf0927a1adfcab8d15a",
+    ),
 }
 
 
@@ -490,7 +495,10 @@ def test_csv_bytes_are_pinned(tmp_path, command):
     ["grid", "--seq", "H", "--t", "10000000000000", "--theta-steps", "2", "--phi-steps", "2"],
     ["average", "--seq", "H", "--steps", "10000000000000", "--samples", "1"],
     ["trace", "--seq", "H", "--theta", "1", "--steps", "10000000000000"],
-], ids=["grid", "average", "trace"])
+    ["compare", "--seqs", "H,X", "--t-list", "10000000000000"],
+    ["search", "--max-period", "2", "--t", "10000000000000", "--samples", "1"],
+    ["parrondo", "--ab", "XXH", "--a", "X", "--b", "H", "--t", "10000000000000", "--samples", "1"],
+], ids=["grid", "average", "trace", "compare", "search", "parrondo"])
 def test_oversized_walk_is_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert run(*argv, "--out", out) == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from parrondoqw.experiments import (
+    WALK_BLOCK_BYTES,
     AverageTrajectory,
     average_schmidt,
     coin_densities,
@@ -17,7 +18,7 @@ from parrondoqw.experiments import (
 )
 from parrondoqw.entanglement import schmidt_norm_from
 from parrondoqw.oracles import InitialState, dense_reference_evolve
-from parrondoqw.sequences import parse
+from parrondoqw.sequences import enumerate_patterns, parse
 
 SQRT2 = math.sqrt(2.0)
 
@@ -267,6 +268,16 @@ def test_fourier_grid_is_phase_shifted_hadamard_grid():
     )
 
 
+def test_hxx_is_maximal_on_the_whole_grid_at_steps_4_and_5_only():
+    # The abstract's "maximally entangled states in some cases", for HXX: on
+    # the 37 x 72 (theta, phi) grid every initial state reaches S = sqrt(2)
+    # at t = 4 and 5, and at t = 3 and 6 some do not.
+    worst = {t: np.max(np.abs(grid_schmidt(parse("HXX"), t, 37, 72).values - SQRT2))
+             for t in (3, 4, 5, 6)}
+    assert worst[4] < 1e-12 and worst[5] < 1e-12
+    assert worst[3] > 0.4 and worst[6] > 0.04
+
+
 def test_phase_independence_certificate_contrast():
     flat = phase_independence_certificate(parse("XXH"), 20, 9, 12)
     assert flat.shape == (20,)
@@ -329,6 +340,36 @@ def test_compare_table_multi_step_ordering():
     assert all(rows[i].t <= rows[i + 1].t for i in range(len(rows) - 1))
     for row in rows:
         assert 1.0 / SQRT2 - 1e-12 <= row.mean_s / SQRT2 <= 1.0 + 1e-12
+
+
+def test_candidates_bitwise_independent_of_their_batch():
+    # Candidates walk together in blocks of WALK_BLOCK_BYTES of walk state;
+    # each one's means are bitwise those it gets walking alone, and do not
+    # depend on which candidates share its block.
+    candidates = enumerate_patterns("HFMX", 3)
+    assert len(candidates) == 76
+    per_block = WALK_BLOCK_BYTES // (2 * 2 * (2 * 20 + 1) * np.dtype(np.complex128).itemsize)
+    assert 1 <= per_block < len(candidates) and len(candidates) % per_block != 0
+
+    def means(sequences):
+        return {(r.sequence_label, r.t): r.mean_s
+                for r in compare_table(sequences, [7, 20], samples=64, seed=1)}
+
+    batched = means(candidates)
+    assert len(batched) == 2 * len(candidates)
+    alone = {}
+    for seq in candidates:
+        alone.update(means([seq]))
+    reversed_order = means(candidates[::-1])
+    for key, value in batched.items():
+        assert alone[key] == value, key
+        assert reversed_order[key] == value, key
+
+
+def test_compare_table_walks_a_repeated_label_once():
+    rows = compare_table([parse("XXH"), parse("H"), parse("xxh")], [3, 5], samples=30, seed=2)
+    assert sorted((r.t, r.sequence_label) for r in rows) == [
+        (3, "H"), (3, "XXH"), (5, "H"), (5, "XXH")]
 
 
 def test_compare_table_requires_candidates_and_steps():

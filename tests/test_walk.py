@@ -21,9 +21,9 @@ pattern_st = st.lists(st.sampled_from("HFMX"), min_size=1, max_size=4)
 
 def _planes(initial, sequence, steps):
     """(amp0, amp1) of the walk from ``initial`` after ``steps`` steps, from the basis walk."""
-    *_, (amp0, amp1) = basis_walk(sequence, steps)
+    *_, (amp0, amp1) = basis_walk([sequence], steps)
     c0, c1 = initial.coin_amplitudes()
-    return c0 * amp0[0] + c1 * amp0[1], c0 * amp1[0] + c1 * amp1[1]
+    return c0 * amp0[0, 0] + c1 * amp0[0, 1], c0 * amp1[0, 0] + c1 * amp1[0, 1]
 
 
 def _vector(initial, sequence, steps):
@@ -91,7 +91,7 @@ def test_prepare_equal_superposition_with_phase():
 def test_prepare_rejects_bad_step_budget():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="steps must be >= 1"):
-            next(basis_walk(parse("H"), bad))
+            next(basis_walk([parse("H")], bad))
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +141,10 @@ def test_shift_moves_coin0_left_as_coin1():
 
 
 def test_full_x_step_streams_coin0_right():
-    (amp0, amp1), = basis_walk(parse("X"), 1)
+    (amp0, amp1), = basis_walk([parse("X")], 1)
     # window -1..1: basis coin |0> moves to +1 as coin 0, |1> to -1 as coin 1
-    np.testing.assert_array_equal(amp0, [[0, 0, 1], [0, 0, 0]])
-    np.testing.assert_array_equal(amp1, [[0, 0, 0], [1, 0, 0]])
+    np.testing.assert_array_equal(amp0, [[[0, 0, 1], [0, 0, 0]]])
+    np.testing.assert_array_equal(amp1, [[[0, 0, 0], [1, 0, 0]]])
 
 
 def test_hadamard_step_from_pole_is_maximally_entangling():
@@ -186,15 +186,31 @@ def test_three_xxh_steps_occupy_four_positions():
 
 
 def test_one_hadamard_step_is_normalized():
-    (amp0, amp1), = basis_walk(parse("H"), 1)
-    np.testing.assert_allclose(np.sum(np.abs(amp0) ** 2 + np.abs(amp1) ** 2, axis=1), 1.0,
+    (amp0, amp1), = basis_walk([parse("H")], 1)
+    np.testing.assert_allclose(np.sum(np.abs(amp0) ** 2 + np.abs(amp1) ** 2, axis=-1), 1.0,
                                rtol=0, atol=1e-15)
 
 
 def test_evolve_yields_every_step():
-    planes = list(basis_walk(parse("XH"), 7))
+    planes = list(basis_walk([parse("XH")], 7))
     assert len(planes) == 7
-    assert all(amp0.shape == amp1.shape == (2, 15) for amp0, amp1 in planes)
+    assert all(amp0.shape == amp1.shape == (1, 2, 15) for amp0, amp1 in planes)
+
+
+def test_batched_walk_matches_each_sequence_alone():
+    # Mixed periods, one longer than the walk: each candidate's planes are
+    # bitwise those of its own walk.
+    sequences = [parse(label) for label in ("X", "HXMFMXHHF", "XXH", "FM")]
+    batched = list(basis_walk(sequences, 7))
+    for m, sequence in enumerate(sequences):
+        for (amp0, amp1), ((alone0,), (alone1,)) in zip(batched, basis_walk([sequence], 7)):
+            np.testing.assert_array_equal(amp0[m], alone0)
+            np.testing.assert_array_equal(amp1[m], alone1)
+
+
+def test_basis_walk_needs_a_sequence():
+    with pytest.raises(ValueError, match="at least one coin sequence"):
+        next(basis_walk([], 3))
 
 
 def test_evolve_rejects_nonpositive_steps():
@@ -214,7 +230,7 @@ def test_evolve_rejects_nonpositive_steps():
 def test_norm_conserved_along_any_walk(pattern):
     # A0^dag A0 + A1^dag A1 = P0 + P1 = I: the walk is an isometry on the
     # initial coin, so every initial state stays normalized.
-    for amp0, amp1 in basis_walk(parse("".join(pattern)), 12):
+    for (amp0,), (amp1,) in basis_walk([parse("".join(pattern))], 12):
         gram = amp0.conj() @ amp0.T + amp1.conj() @ amp1.T
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
@@ -224,7 +240,7 @@ def test_norm_conserved_along_any_walk(pattern):
 def test_support_confined_and_parity_respected(pattern):
     steps = 12
     positions = np.arange(-steps, steps + 1)
-    for t, (amp0, amp1) in enumerate(basis_walk(parse("".join(pattern)), steps), start=1):
+    for t, ((amp0,), (amp1,)) in enumerate(basis_walk([parse("".join(pattern))], steps), start=1):
         outside = (np.abs(positions) > t) | ((positions - t) % 2 != 0)
         assert not amp0[:, outside].any()
         assert not amp1[:, outside].any()
@@ -237,7 +253,7 @@ def test_basis_walk_edge_cells_stay_empty(pattern):
     # at the right edge) never hold amplitude, and before the last step
     # neither edge cell does, so no shift ever drops amplitude.
     steps = 12
-    for t, (amp0, amp1) in enumerate(basis_walk(parse("".join(pattern)), steps), start=1):
+    for t, ((amp0,), (amp1,)) in enumerate(basis_walk([parse("".join(pattern))], steps), start=1):
         assert not amp0[:, 0].any() and not amp1[:, -1].any()
         if t < steps:
             assert not amp0[:, [0, -1]].any() and not amp1[:, [0, -1]].any()
