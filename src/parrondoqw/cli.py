@@ -37,7 +37,7 @@ from .experiments import (
     log_fit,
     parrondo_check,
 )
-from .output import format_column, read_average_csv, write_csv, write_json
+from .output import BLOCK_ROWS, format_column, read_average_csv, write_csv, write_json
 from .sequences import enumerate_patterns, parse
 
 __all__ = ["main"]
@@ -48,14 +48,20 @@ _THREADS_HELP = "accepted for compatibility and ignored: the engine runs on one 
 _NOT_PARAMS = frozenset({"command", "run", "out", "threads", "degrees"})
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer that is at least ``minimum``."""
+    def parse_int(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse_int
+
+
+_positive_int = _int_at_least(1)
 
 
 def _positive_int_list(text: str) -> list[int]:
@@ -88,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, samples_default: int) -> None:
         p.add_argument("--samples", type=_positive_int, default=samples_default,
                        help=f"random initial states (default {samples_default})")
-        p.add_argument("--seed", type=int, default=1, help="master RNG seed (default 1)")
+        p.add_argument("--seed", type=_int_at_least(0), default=1,
+                       help="master RNG seed, >= 0 (default 1)")
         p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
 
@@ -226,13 +233,16 @@ def _cmd_grid(args) -> None:
     args.seq = sequence.label
     result = grid_schmidt(sequence, args.t, args.theta_steps, args.phi_steps)
     # Format each axis value once: every cell of a row or column repeats it.
+    # Cells become text one group of theta rows at a time.
     thetas = format_column(result.theta_axis)
     phis = format_column(result.phi_axis)
-    write_csv(args.out, _manifest(args), {
-        "theta": [theta for theta in thetas for _ in phis],
-        "phi": phis * len(thetas),
-        "S": result.values.ravel(),
-    })
+    rows = max(1, BLOCK_ROWS // len(phis))
+    write_csv(args.out, _manifest(args), (
+        {"theta": [theta for theta in thetas[i:i + rows] for _ in phis],
+         "phi": phis * len(thetas[i:i + rows]),
+         "S": result.values[i:i + rows].ravel()}
+        for i in range(0, len(thetas), rows)
+    ))
 
 
 def _cmd_compare(args) -> None:

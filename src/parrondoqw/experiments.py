@@ -26,6 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .entanglement import MAX_SCHMIDT_NORM, schmidt_norm_from
+from .output import BLOCK_ROWS
 from .sequences import CoinSequence
 from .walk import basis_walk
 
@@ -195,6 +196,9 @@ def _channel_reduction(r0, r1, coin0, coin1):
     """pop0, pop1 and coherence of the amplitudes ``R0 c``, ``R1 c``, elementwise over samples.
 
     Rows of ``R1`` below those of ``R0`` (where ``R0 c`` is zero) add to pop1 only.
+    The product is ``np.multiply``, not ``*``: numpy computes ``a * temporary``
+    in place for temporaries of 256 KiB and more, and rounds that complex
+    product differently, so a value would depend on the size of its batch.
     """
     pop0 = pop1 = coherence = 0.0
     for k, r in enumerate(r1):
@@ -203,7 +207,7 @@ def _channel_reduction(r0, r1, coin0, coin1):
         if k < len(r0):
             amp0 = r0[k, 0] * coin0 + r0[k, 1] * coin1
             pop0 = pop0 + (amp0.real**2 + amp0.imag**2)
-            coherence = coherence + amp0 * np.conj(amp1)
+            coherence = coherence + np.multiply(amp0, np.conj(amp1))
     return pop0, pop1, coherence
 
 
@@ -221,9 +225,8 @@ def _record_steps(steps: int, record_steps: Iterable[int] | None) -> Sequence[in
     return record_steps
 
 
-def _initial_coins(states) -> tuple[NDArray, NDArray]:
-    """Coin amplitudes ``(cos(theta/2), e^{i phi} sin(theta/2))`` of (theta, phi) rows."""
-    thetas, phis = _angle_arrays(states)
+def _initial_coins(thetas, phis) -> tuple[NDArray, NDArray]:
+    """Coin amplitudes ``(cos(theta/2), e^{i phi} sin(theta/2))``, elementwise with broadcasting."""
     return np.cos(thetas / 2.0), np.exp(1j * phis) * np.sin(thetas / 2.0)
 
 
@@ -242,7 +245,7 @@ def coin_densities(
     time, so a consumer that reduces each step keeps O(N) memory.
     """
     record_steps = _record_steps(steps, record_steps)
-    coin0, coin1 = _initial_coins(states)
+    coin0, coin1 = _initial_coins(*_angle_arrays(states))
     for r0, r1 in _coin_channel([sequence], steps, record_steps):
         yield _channel_reduction(r0[0], r1[0], coin0, coin1)
 
@@ -326,18 +329,19 @@ def log_fit(
     return result
 
 
-def _grid_angles(theta_steps: int, phi_steps: int) -> tuple[NDArray, NDArray, NDArray]:
-    """Regular grid: theta in [0, pi] inclusive, phi in [0, 2pi) half-open.
-
-    Returns both axes and the (theta_steps * phi_steps, 2) array of
-    (theta, phi) cells, theta-major.
-    """
+def _grid_axes(theta_steps: int, phi_steps: int) -> tuple[NDArray, NDArray]:
+    """Regular grid axes: theta in [0, pi] inclusive, phi in [0, 2pi) half-open."""
     if theta_steps < 2 or phi_steps < 2:
         raise ValueError(
             f"grid axes need >= 2 samples, got theta_steps={theta_steps} phi_steps={phi_steps}"
         )
     theta_axis = np.linspace(0.0, math.pi, theta_steps)
-    phi_axis = np.linspace(0.0, TWO_PI, phi_steps, endpoint=False)
+    return theta_axis, np.linspace(0.0, TWO_PI, phi_steps, endpoint=False)
+
+
+def _grid_angles(theta_steps: int, phi_steps: int) -> tuple[NDArray, NDArray, NDArray]:
+    """Both grid axes and the (theta_steps * phi_steps, 2) array of cells, theta-major."""
+    theta_axis, phi_axis = _grid_axes(theta_steps, phi_steps)
     angles = np.stack(np.meshgrid(theta_axis, phi_axis, indexing="ij", copy=False), axis=-1)
     return theta_axis, phi_axis, angles.reshape(-1, 2)
 
@@ -348,14 +352,20 @@ def grid_schmidt(
     theta_steps: int,
     phi_steps: int,
 ) -> GridResult:
-    """Schmidt norm at step ``t`` on a regular (theta, phi) grid; deterministic."""
-    theta_axis, phi_axis, angles = _grid_angles(theta_steps, phi_steps)
-    (densities,) = coin_densities(angles, sequence, t, record_steps=[t])
-    return GridResult(
-        theta_axis=theta_axis,
-        phi_axis=phi_axis,
-        values=schmidt_norm_from(*densities).reshape(theta_steps, phi_steps),
-    )
+    """Schmidt norm at step ``t`` on a regular (theta, phi) grid; deterministic.
+
+    Groups of theta rows of about ``BLOCK_ROWS`` cells are reduced in turn,
+    coins taken from the axes, bitwise as ``coin_densities`` gives each cell.
+    """
+    theta_axis, phi_axis = _grid_axes(theta_steps, phi_steps)
+    ((r0, r1),) = _coin_channel([sequence], t, _record_steps(t, [t]))
+    values = np.empty((theta_steps, phi_steps))
+    rows = max(1, BLOCK_ROWS // phi_steps)
+    for start in range(0, theta_steps, rows):
+        block = slice(start, start + rows)
+        coins = _initial_coins(theta_axis[block, None], phi_axis)
+        values[block] = schmidt_norm_from(*_channel_reduction(r0[0], r1[0], *coins))
+    return GridResult(theta_axis=theta_axis, phi_axis=phi_axis, values=values)
 
 
 def phase_independence_certificate(
@@ -421,7 +431,7 @@ def compare_table(
     states = sample_initial_states(samples, seed)
     steps = max(step_list)
     recorded = _record_steps(steps, sorted(set(step_list)))
-    coin0, coin1 = _initial_coins(states)
+    coin0, coin1 = _initial_coins(*_angle_arrays(states))
     distinct = list({seq.label: seq for seq in candidates}.values())
     means = np.empty((len(distinct), len(recorded)))
     # At least one candidate per block, however long its walk.

@@ -2,20 +2,22 @@
 
 Contract: every output file starts with '#'-prefixed comment lines carrying
 the run manifest (command, version, all experiment parameters), followed by a
-column-name row, then data rows.  A CSV table comes in as columns and goes
-out in blocks of ``BLOCK_ROWS`` rows; within a block each column is formatted
-in one pass by ``format_column``, which holds the package's one number rule.
-JSON floats are rounded to the same 12 digits, and a JSON payload that is not
-finite is refused before any file opens.  Nothing time- or machine-dependent
-is ever written, so identical invocations produce byte-identical files.
+column-name row, then data rows.  A CSV table comes in as columns (or blocks
+of them) and goes out in blocks of ``BLOCK_ROWS`` rows; within a block each
+column is formatted in one pass by ``format_column``, which holds the
+package's one number rule.  JSON floats are rounded to the same 12 digits,
+and a JSON payload that is not finite is refused before any file opens.
+Nothing time- or machine-dependent is ever written, so identical invocations
+produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,25 +68,35 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8", newline="\n"), True
 
 
-def write_csv(path: str | None, manifest: dict, table: dict[str, Sequence]) -> None:
+def _columns(block: dict[str, Sequence]) -> list[Sequence]:
+    """The columns of one block of rows, refused when they differ in length."""
+    columns = list(block.values())
+    if any(len(column) != len(columns[0]) for column in columns):
+        raise ValueError(f"columns differ in length: {[len(column) for column in columns]}")
+    return columns
+
+
+def write_csv(path: str | None, manifest: dict, table: dict | Iterable[dict]) -> None:
     """Write the manifest comment, the column row, then the rows of ``table``.
 
     ``table`` maps each column name, in order, to its cells: a numpy array or
     sequence of numbers, or a list of strings already formatted.  Every
-    column has the same length.  Rows go out ``BLOCK_ROWS`` at a time, each
-    block's columns formatted by ``format_column``.
+    column has the same length.  ``table`` may instead be an iterable of such
+    dicts, blocks of rows under the first block's names, written in turn.
+    Rows go out ``BLOCK_ROWS`` at a time, each block's columns formatted by
+    ``format_column``.  The first block is checked before the output opens.
     """
-    columns = list(table.values())
-    n_rows = len(columns[0])
-    if any(len(column) != n_rows for column in columns):
-        raise ValueError(f"columns differ in length: {[len(column) for column in columns]}")
+    blocks = iter([table] if isinstance(table, dict) else table)
+    first = next(blocks)
+    checked = _columns(first)
     stream, owned = _open_out(path)
     try:
         stream.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
-        stream.write(",".join(table) + "\n")
-        for start in range(0, n_rows, BLOCK_ROWS):
-            texts = [format_column(column[start:start + BLOCK_ROWS]) for column in columns]
-            stream.write("\n".join(map(",".join, zip(*texts))) + "\n")
+        stream.write(",".join(first) + "\n")
+        for columns in itertools.chain([checked], map(_columns, blocks)):
+            for start in range(0, len(columns[0]), BLOCK_ROWS):
+                texts = [format_column(column[start:start + BLOCK_ROWS]) for column in columns]
+                stream.write("\n".join(map(",".join, zip(*texts))) + "\n")
     finally:
         if owned:
             stream.close()

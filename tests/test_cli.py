@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +328,22 @@ def test_compare_t_list_rejects_non_positive_steps(capsys, value):
     assert "argument --t-list: steps must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["average", "--seq", "X", "--steps", "1", "--samples", "1"],
+    ["compare", "--seqs", "XXH", "--t-list", "3", "--samples", "1"],
+    ["parrondo", "--ab", "XXH", "--a", "X", "--b", "H", "--t", "3", "--samples", "1"],
+    ["search", "--max-period", "1", "--t", "3", "--samples", "1"],
+], ids=["average", "compare", "parrondo", "search"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        run(*argv, "--seed", "-5", "--out", out)
+    assert excinfo.value.code == 2
+    assert "argument --seed: must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*argv, "--seed", "0", "--out", out) == 0
+
+
 def test_parrondo_verdict_json(tmp_path):
     out = tmp_path / "parrondo.json"
     assert run("parrondo", "--ab", "xxh", "--a", "x", "--b", "h", "--t", 50,
@@ -462,6 +480,11 @@ CSV_SHA256 = {
         ["grid", "--seq", "HHH", "--t", "8", "--theta-steps", "37", "--phi-steps", "72"],
         "58b17d7d026e2abe4be450ed8888c9ac5f60260a17f468ff3591b9cfc47a9b02",
     ),
+    # 65,160 rows: many groups of theta rows, the last one partial.
+    "grid-blocks": (
+        ["grid", "--seq", "HHH", "--t", "8", "--theta-steps", "181", "--phi-steps", "360"],
+        "f57ca6c27cf23394fc07e6a7ac1584ccc310b9353e37af2eb9064284c79dfd7e",
+    ),
     "compare": (
         ["compare", "--seqs", "XXH,HHH", "--t-list", "3,5"],
         "f6ae8f3495e749cfd969ce4e42091050f5ce34dc4ee588b8c0e0fb0852fe2b0f",
@@ -484,6 +507,18 @@ def test_csv_bytes_are_pinned(tmp_path, command):
     out = tmp_path / "out.csv"
     assert run(*argv, "--out", out) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def test_grid_output_memory_is_bounded():
+    # 259,920 rows: expanding every cell to text at once would take tens of MiB.
+    tracemalloc.start()
+    try:
+        assert run("grid", "--seq", "HHH", "--t", "8", "--theta-steps", "361",
+                   "--phi-steps", "720", "--out", os.devnull) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from parrondoqw.experiments import (
     WALK_BLOCK_BYTES,
+    _grid_angles,
     AverageTrajectory,
     average_schmidt,
     coin_densities,
@@ -18,6 +19,7 @@ from parrondoqw.experiments import (
 )
 from parrondoqw.entanglement import schmidt_norm_from
 from parrondoqw.oracles import InitialState, dense_reference_evolve
+from parrondoqw.output import BLOCK_ROWS
 from parrondoqw.sequences import enumerate_patterns, parse
 
 SQRT2 = math.sqrt(2.0)
@@ -81,6 +83,10 @@ def test_trajectories_bitwise_independent_of_batch_composition():
     as_list = [[float(theta), float(phi)] for theta, phi in states]
     assert np.array_equal(_stacked_schmidt(as_list, sequence, 12), baseline)
     assert np.array_equal(_stacked_schmidt(states[::-1], sequence, 12), baseline[:, ::-1])
+    # Batches of 256 KiB of complex values and more (numpy computes some
+    # products of such temporaries in place) give the same bits as well.
+    large = np.concatenate((states, sample_initial_states(20_000, seed=6)))
+    assert np.array_equal(_stacked_schmidt(large, sequence, 12, [12])[0, :300], baseline[11])
 
 
 def _dense_schmidt(initial, sequence, t):
@@ -266,6 +272,32 @@ def test_fourier_grid_is_phase_shifted_hadamard_grid():
     np.testing.assert_allclose(
         grid_f.values, np.roll(grid_h.values, -3, axis=1), atol=1e-10
     )
+
+
+# (37, 1000): 16-row groups, the last one partial.  (3, BLOCK_ROWS + 5):
+# one theta row per group.
+@pytest.mark.parametrize("theta_steps, phi_steps", [(37, 1000), (3, BLOCK_ROWS + 5)])
+@pytest.mark.parametrize("label", ["HHH", "FMX", "XXH"])
+def test_grid_groups_are_bitwise_the_expanded_cells(label, theta_steps, phi_steps):
+    # Coins taken from the axes add no drift: every cell equals, exactly, the
+    # value coin_densities gives it among the expanded (theta, phi) cells.
+    t = 7
+    _, _, cells = _grid_angles(theta_steps, phi_steps)
+    expected = schmidt_norm_from(*next(coin_densities(cells, parse(label), t, [t])))
+    grid = grid_schmidt(parse(label), t, theta_steps, phi_steps)
+    assert np.all(grid.values.ravel() == expected)
+
+
+def test_grid_memory_is_the_values_and_one_group():
+    # One (N, 2) angles array or one N-sized complex temporary would already
+    # take 4 MiB on this grid.
+    tracemalloc.start()
+    try:
+        grid = grid_schmidt(parse("HHH"), 8, 361, 720)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grid.values.nbytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_hxx_is_maximal_on_the_whole_grid_at_steps_4_and_5_only():
