@@ -232,14 +232,14 @@ def _cmd_grid(args) -> None:
     sequence = parse(args.seq)
     args.seq = sequence.label
     result = grid_schmidt(sequence, args.t, args.theta_steps, args.phi_steps)
-    # Format each axis value once: every cell of a row or column repeats it.
-    # Cells become text one group of theta rows at a time.
-    thetas = format_column(result.theta_axis)
-    phis = format_column(result.phi_axis)
+    # Format each axis value once, as numpy text: every cell of a row or
+    # column repeats it.  Cells become text one group of theta rows at a time.
+    thetas = np.array(format_column(result.theta_axis), dtype="S")
+    phis = np.array(format_column(result.phi_axis), dtype="S")
     rows = max(1, BLOCK_ROWS // len(phis))
     write_csv(args.out, _manifest(args), (
-        {"theta": [theta for theta in thetas[i:i + rows] for _ in phis],
-         "phi": phis * len(thetas[i:i + rows]),
+        {"theta": np.repeat(thetas[i:i + rows], len(phis)),
+         "phi": np.tile(phis, len(thetas[i:i + rows])),
          "S": result.values[i:i + rows].ravel()}
         for i in range(0, len(thetas), rows)
     ))

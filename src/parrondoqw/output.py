@@ -3,12 +3,40 @@
 Contract: every output file starts with '#'-prefixed comment lines carrying
 the run manifest (command, version, all experiment parameters), followed by a
 column-name row, then data rows.  A CSV table comes in as columns (or blocks
-of them) and goes out in blocks of ``BLOCK_ROWS`` rows; within a block each
-column is formatted in one pass by ``format_column``, which holds the
-package's one number rule.  JSON floats are rounded to the same 12 digits,
-and a JSON payload that is not finite is refused before any file opens.
-Nothing time- or machine-dependent is ever written, so identical invocations
-produce byte-identical files.
+of them) and goes out in blocks of ``BLOCK_ROWS`` rows.  JSON floats are
+rounded to the same 12 digits, and a JSON payload that is not finite is
+refused before any file opens.  Nothing time- or machine-dependent is ever
+written, so identical invocations produce byte-identical files.
+
+The number rule is ``%.12g``, except ``%.11e`` below 1e-3; integers print as
+integers.  ``_cells`` holds it once, for ``format_column`` and ``write_csv``
+alike: it turns a column into an ``(n, w)`` uint8 matrix whose row i is the
+text of cell i with NUL bytes anywhere in it, and a block's text is its
+cells' matrices joined by comma and newline columns with the NULs deleted.
+
+A float with 1e-3 <= |x| < 1e12 is made in numpy.  Its decimal exponent e
+comes from comparisons with the doubles 1e-3 ... 1e12, each at or above the
+power of ten it names, so e is exact.  ``y = |x| * 10**(11 - e)`` is one
+multiply by an exact power of ten, so y is the exact product rounded to
+the nearest double, and rounding never moves a value past a double.  Since
+``y <= 1e12 < 2**40``, every tie n + 1/2 is a double, so y lies on the same
+side of each tie as the exact product unless y is the tie itself.  The tie
+margin is therefore zero: where y is not on a tie, ``rint(y)`` is the exact
+product rounded to 12 digits, as ``%.12g`` rounds it, and a carry to 10**12
+moves e up one.  The digits are split into groups in float arithmetic, exact
+because every value is an integer below 2**53, and each group is one word of
+a lookup table.  A cell is a row of eight 4-byte words: the sign, three
+words of integer digits (places 10**11 ... 10**0), the point and three
+fraction digits, four, four, and three digits and a NUL.  Leading zeros,
+trailing fraction zeros, the point of a whole number and the sign of a
+positive one are masked to NUL, and word columns that are NUL in every cell
+of a block are dropped.
+
+Every other float takes the ``%`` rule one cell at a time: nan and the
+infinities, |x| < 1e-3 (zero, -0.0 and subnormals included), values that
+round to 1e12 or more, and cells whose y lies exactly on a tie.  So do
+integer columns.  Text columns are numpy ``S`` arrays, taken as they are; a
+list of ``str`` is encoded once.
 """
 
 from __future__ import annotations
@@ -32,6 +60,128 @@ __all__ = [
 BLOCK_ROWS = 1 << 14
 
 
+def _words(matrix) -> np.ndarray:
+    """Each row of four bytes as one word, in the machine's byte order."""
+    return np.ascontiguousarray(matrix, np.uint8).view(np.uint32)[..., 0]
+
+
+def _digits(width: int, before: bytes = b"", after: bytes = b"") -> np.ndarray:
+    """The ASCII digits of 0 ... 10**width - 1, one row each, between two fixed texts."""
+    ten = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    count = 10**width
+    columns = [np.full(count, byte, np.uint8) for byte in before]
+    columns += [np.tile(np.repeat(ten, 10 ** (width - 1 - k)), 10**k) for k in range(width)]
+    columns += [np.full(count, byte, np.uint8) for byte in after]
+    return np.stack(columns, axis=1)
+
+
+def _trailing_zeros(width: int) -> np.ndarray:
+    """The number of trailing zero digits of 0 ... 10**width - 1 (``width`` for 0)."""
+    zeros = np.zeros(10**width, np.uint8)
+    for k in range(1, width + 1):
+        zeros[::10**k] += 1
+    return zeros
+
+
+_LOWER = np.array([float(f"1e{k}") for k in range(-3, 13)])
+_POW10 = np.array([float(10**k) for k in range(15)])
+_MINUS = _words([ord("-"), 0, 0, 0])
+_DIGITS4 = _words(_digits(4))
+_POINT3 = _words(_digits(3, before=b"."))
+_DIGITS3 = _words(_digits(3, after=b"\0"))
+_ZEROS3, _ZEROS4 = _trailing_zeros(3), _trailing_zeros(4)
+#: Integer words by the top place shown: byte i of word k is place 11 - 4k - i.
+_WHOLE_MASKS = _words([[[255 * (11 - 4 * k - i <= top) for i in range(4)] for top in range(12)]
+                       for k in range(3)])
+#: Fraction words by the number of fraction digits shown: byte i of word k is
+#: fraction digit 4k + i, and byte 0 of word 0 is the point.
+_FRAC_MASKS = _words([[[255 * (max(4 * k + i, 1) <= shown) for i in range(4)] for shown in range(15)]
+                      for k in range(4)])
+
+
+def _percent(cells: list) -> list[str]:
+    """The number rule one cell at a time, with Python's ``%``."""
+    return ["%.11e" % x if abs(x) < 1e-3 else "%.12g" % x for x in cells]
+
+
+def _text_cells(texts: Iterable[str]) -> np.ndarray:
+    """The ``(n, w)`` matrix of ready-made cell texts, NUL-padded to the longest."""
+    array = np.array([text.encode() for text in texts], dtype="S")
+    return array.view(np.uint8).reshape(len(array), array.itemsize)
+
+
+def _split(values: np.ndarray, divisor):
+    """Quotient and remainder of float integers below 2**53 by a power of ten, exactly."""
+    high = np.floor(values / divisor)
+    return high, values - high * divisor
+
+
+def _cells(values) -> np.ndarray:
+    """The NUL-padded ``(n, w)`` uint8 text matrix of one column (see the module docstring)."""
+    if isinstance(values, list) and values and isinstance(values[0], str):
+        return _text_cells(values)
+    array = np.asarray(values)
+    n = len(array)
+    if array.dtype.kind == "S":
+        return array.view(np.uint8).reshape(n, array.itemsize)
+    if array.dtype.kind in "iu":
+        return _text_cells(map(str, array.tolist()))
+    return _number_cells(array.astype(np.float64, copy=False)) if n else np.zeros((0, 0), np.uint8)
+
+
+def _number_cells(x: np.ndarray) -> np.ndarray:
+    """The cell matrix of floats: 12 digits made in numpy, the rest by ``%``."""
+    n = len(x)
+    a = np.abs(x)
+    ok = (a >= 1e-3) & (a < 1e12)
+    e = np.clip(np.searchsorted(_LOWER, a, side="right") - 4, -3, 11)
+    y = np.where(ok, a, 1.0) * _POW10[11 - e]
+    m = np.rint(y)
+    ok &= np.abs(y - m) != 0.5  # on a tie: which side the exact product is on is unknown
+    carry = m == 1e12
+    ok &= ~(carry & (a >= 1e11))  # rounds to 1e12
+    m[carry] = 1e11
+    e[carry & ok] += 1
+    whole, rest = _split(m, _POW10[11 - e])
+    frac = rest * _POW10[e + 3]  # the 14 fraction digits
+    groups = np.empty((7, n), np.intp)
+    groups[0], rest = _split(whole, 1e8)
+    groups[1], groups[2] = _split(rest, 1e4)
+    groups[3], rest = _split(frac, 1e11)
+    groups[4], rest = _split(rest, 1e7)
+    groups[5], groups[6] = _split(rest, 1e3)
+    zeros = _ZEROS3[groups[6]]  # trailing zeros of the fraction, from its last group up
+    zeros = np.where(zeros == 3, zeros + _ZEROS4[groups[5]], zeros)
+    zeros = np.where(zeros == 7, zeros + _ZEROS4[groups[4]], zeros)
+    zeros = np.where(zeros == 11, zeros + _ZEROS3[groups[3]], zeros)
+    words = np.empty((8, n), np.uint32)
+    words[0] = np.where(x < 0, _MINUS, 0)
+    words[1:4] = _DIGITS4[groups[:3]] & np.take(_WHOLE_MASKS, np.maximum(e, 0), axis=1)
+    words[4] = _POINT3[groups[3]]
+    words[5:7] = _DIGITS4[groups[4:6]]
+    words[7] = _DIGITS3[groups[6]]
+    words[4:] &= np.take(_FRAC_MASKS, 14 - zeros, axis=1)
+    live = np.flatnonzero(words.max(axis=1))
+    cells = np.ascontiguousarray(words[live[0]:live[-1] + 1].T).view(np.uint8)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        texts = _text_cells(_percent(x[bad].tolist()))
+        if texts.shape[1] > cells.shape[1]:
+            cells = np.pad(cells, ((0, 0), (0, texts.shape[1] - cells.shape[1])))
+        cells[bad] = 0
+        cells[bad, :texts.shape[1]] = texts
+    return cells
+
+
+def _joined(cells: Sequence[np.ndarray]) -> bytes:
+    """The text of a block of rows: each row's cells joined by commas, ended by a newline."""
+    n = len(cells[0])
+    comma, newline = (np.broadcast_to(np.uint8(ord(c)), (n, 1)) for c in ",\n")
+    parts = [part for matrix in cells for part in (matrix, comma)]
+    parts[-1] = newline
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
 def format_column(values) -> list[str]:
     """Text of every cell of one column, by the package's one number rule.
 
@@ -43,15 +193,7 @@ def format_column(values) -> list[str]:
     """
     if isinstance(values, list) and values and isinstance(values[0], str):
         return values
-    array = np.asarray(values)
-    cells = array.tolist()
-    if array.dtype.kind in "iu":
-        return list(map(str, cells))
-    texts = ("%.12g\n" * len(cells) % tuple(cells)).split("\n")
-    texts.pop()
-    for i in np.flatnonzero(np.abs(array) < 1e-3).tolist():
-        texts[i] = "%.11e" % cells[i]
-    return texts
+    return _joined([_cells(values)]).decode().split("\n")[:-1]
 
 
 def _finite(text: str) -> float:
@@ -69,8 +211,10 @@ def _open_out(path: str | None):
 
 
 def _columns(block: dict[str, Sequence]) -> list[Sequence]:
-    """The columns of one block of rows, refused when they differ in length."""
+    """The columns of one block of rows, refused when there are none or they differ in length."""
     columns = list(block.values())
+    if not columns:
+        raise ValueError("a table needs at least one column")
     if any(len(column) != len(columns[0]) for column in columns):
         raise ValueError(f"columns differ in length: {[len(column) for column in columns]}")
     return columns
@@ -80,14 +224,18 @@ def write_csv(path: str | None, manifest: dict, table: dict | Iterable[dict]) ->
     """Write the manifest comment, the column row, then the rows of ``table``.
 
     ``table`` maps each column name, in order, to its cells: a numpy array or
-    sequence of numbers, or a list of strings already formatted.  Every
-    column has the same length.  ``table`` may instead be an iterable of such
-    dicts, blocks of rows under the first block's names, written in turn.
-    Rows go out ``BLOCK_ROWS`` at a time, each block's columns formatted by
-    ``format_column``.  The first block is checked before the output opens.
+    sequence of numbers, a numpy ``S`` array of text, or a list of strings
+    already formatted.  Every column has the same length.  ``table`` may
+    instead be an iterable of such dicts, blocks of rows under the first
+    block's names, written in turn.  Rows go out ``BLOCK_ROWS`` at a time,
+    each block written as one string.  The first block is checked before the
+    output opens: a table with no block or no column raises ``ValueError``
+    and leaves no file.
     """
     blocks = iter([table] if isinstance(table, dict) else table)
-    first = next(blocks)
+    first = next(blocks, None)
+    if first is None:
+        raise ValueError("a table needs at least one block of rows")
     checked = _columns(first)
     stream, owned = _open_out(path)
     try:
@@ -95,8 +243,8 @@ def write_csv(path: str | None, manifest: dict, table: dict | Iterable[dict]) ->
         stream.write(",".join(first) + "\n")
         for columns in itertools.chain([checked], map(_columns, blocks)):
             for start in range(0, len(columns[0]), BLOCK_ROWS):
-                texts = [format_column(column[start:start + BLOCK_ROWS]) for column in columns]
-                stream.write("\n".join(map(",".join, zip(*texts))) + "\n")
+                cells = [_cells(column[start:start + BLOCK_ROWS]) for column in columns]
+                stream.write(_joined(cells).decode())
     finally:
         if owned:
             stream.close()

@@ -485,6 +485,11 @@ CSV_SHA256 = {
         ["grid", "--seq", "HHH", "--t", "8", "--theta-steps", "181", "--phi-steps", "360"],
         "f57ca6c27cf23394fc07e6a7ac1584ccc310b9353e37af2eb9064284c79dfd7e",
     ),
+    # The grid-wide benchmark workload: 259,920 rows, 10,990,712 bytes.
+    "grid-wide": (
+        ["grid", "--seq", "HHH", "--t", "8", "--theta-steps", "361", "--phi-steps", "720"],
+        "3591776337bd43d67ffcc5b91fe5f6c0f4f391e8e08f77ff8184a7c11db1a0e5",
+    ),
     "compare": (
         ["compare", "--seqs", "XXH,HHH", "--t-list", "3,5"],
         "f6ae8f3495e749cfd969ce4e42091050f5ce34dc4ee588b8c0e0fb0852fe2b0f",
@@ -507,6 +512,13 @@ def test_csv_bytes_are_pinned(tmp_path, command):
     out = tmp_path / "out.csv"
     assert run(*argv, "--out", out) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("command", ["trace", "grid-blocks", "compare"])
+def test_stdout_bytes_are_the_file_bytes(capfdbinary, command):
+    argv, expected = CSV_SHA256[command]
+    assert run(*argv, "--out", "-") == 0
+    assert hashlib.sha256(capfdbinary.readouterr().out).hexdigest() == expected
 
 
 def test_grid_output_memory_is_bounded():

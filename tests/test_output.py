@@ -62,3 +62,82 @@ def test_write_csv_refuses_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="columns differ in length"):
         write_csv(str(out), {}, {"a": [1, 2], "b": [1.0]})
     assert not out.exists()
+
+
+def written_cells(tmp_path, values):
+    """The cells of one float column as ``write_csv`` writes them."""
+    out = tmp_path / "column.csv"
+    write_csv(str(out), {}, {"x": values})
+    return out.read_text().split("\n")[2:-1]
+
+
+def midpoints_and_neighbours():
+    """Doubles at and around decimal 12-digit midpoints, exponents 1e-3 .. 1e11.
+
+    For each exponent, 7,000 random midpoints d.ddddddddddd5 x 10**e (the
+    nearest double to each), then the doubles 2 ulps either side, near
+    enough for the scaled value to round onto the tie, and 64 ulps either
+    side, clear of it.
+    """
+    rng = np.random.default_rng(12)
+    mids = np.array([float(f"{m}5e{e - 12}") for e in range(-3, 12)
+                     for m in rng.integers(10**11, 10**12, 7_000).tolist()])
+    down, up = mids, mids
+    for _ in range(2):
+        down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+    far = 64 * np.spacing(mids)
+    return np.concatenate([mids, down, up, mids - far, mids + far])
+
+
+def test_number_rule_at_decimal_midpoints(tmp_path):
+    values = midpoints_and_neighbours()
+    assert len(values) == 5 * 105_000
+    values[1::2] *= -1.0
+    expected = [one_value(x) for x in values.tolist()]
+    assert format_column(values) == expected
+    assert written_cells(tmp_path, values) == expected
+
+
+CARRIES = [
+    9.999999999995, 99999999999.95, 999999999999.5, 999999999999.4, 999999999999.7,
+    9.9999999999996, 0.099999999999996, 0.0099999999999996, 99999999999.96,
+    0.00099999999999995, 0.00099999999999996, 999999.9999995, 999999.99999951,
+]
+
+
+def test_number_rule_carries_across_powers_of_ten(tmp_path):
+    values = CARRIES + [-x for x in CARRIES]
+    expected = [one_value(x) for x in values]
+    assert one_value(999999999999.5) == "1e+12"
+    assert format_column(values) == expected
+    assert written_cells(tmp_path, values) == expected
+
+
+SPECIALS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -4e-320,
+    math.nan, math.inf, -math.inf, -1.5, -0.001, -123456.789, -999999999999.0,
+]
+
+
+def test_number_rule_signs_and_special_values(tmp_path):
+    expected = [one_value(x) for x in SPECIALS]
+    assert expected[:3] == ["-0.00000000000e+00", "0.00000000000e+00", "4.94065645841e-324"]
+    assert expected[6:9] == ["nan", "inf", "-inf"]
+    assert format_column(SPECIALS) == expected
+    assert written_cells(tmp_path, SPECIALS) == expected
+    for value in SPECIALS:
+        assert format_column([value]) == [one_value(value)]
+
+
+def test_write_csv_text_columns(tmp_path):
+    out = tmp_path / "table.csv"
+    write_csv(str(out), {}, {"a": ["XXH", "é", ""], "b": np.array([b"1", b"22", b"333"])})
+    assert out.read_text(encoding="utf-8").split("\n")[1:] == ["a,b", "XXH,1", "é,22", ",333", ""]
+
+
+@pytest.mark.parametrize("table", [{}, iter([]), [{}]], ids=["no-column", "no-block", "empty-block"])
+def test_write_csv_refuses_empty_table(tmp_path, table):
+    out = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="a table needs at least one"):
+        write_csv(str(out), {"command": "test"}, table)
+    assert not out.exists()
