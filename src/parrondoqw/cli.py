@@ -126,8 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="Schmidt norm over a (theta, phi) grid")
     p.add_argument("--seq", required=True)
     p.add_argument("--t", type=_positive_int, required=True, help="step at which S is recorded")
-    p.add_argument("--theta-steps", type=_positive_int, default=37)
-    p.add_argument("--phi-steps", type=_positive_int, default=72)
+    p.add_argument("--theta-steps", type=_int_at_least(2), default=37)
+    p.add_argument("--phi-steps", type=_int_at_least(2), default=72)
     p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.set_defaults(run=_cmd_grid)

@@ -14,33 +14,40 @@ alike: it turns a column into an ``(n, w)`` uint8 matrix whose row i is the
 text of cell i with NUL bytes anywhere in it, and a block's text is its
 cells' matrices joined by comma and newline columns with the NULs deleted.
 
-A float with 1e-3 <= |x| < 1e12 is made in numpy.  Its decimal exponent e
-comes from comparisons with the doubles 1e-3 ... 1e12, each at or above the
-power of ten it names, so e is exact.  ``y = |x| * 10**(11 - e)`` is one
-multiply by an exact power of ten, so y is the exact product rounded to
-the nearest double, and rounding never moves a value past a double.  Since
+No float a command writes reaches 10 in magnitude: S lies in [1, sqrt 2],
+the populations, coherences and eigenvalues of a 2x2 coin density are at
+most 1 in magnitude, and the angles lie in [0, 2 pi).  So a float with
+1e-3 <= |x| < 10 is made in numpy.  Its decimal exponent e (-3 ... 0) comes
+from comparisons with the doubles 1e-3 ... 1, each at or above the power of
+ten it names, so e is exact.  ``y = |x| * 10**(11 - e)`` is one multiply by
+an exact power of ten, so y is the exact product rounded to the nearest
+double, and rounding never moves a value past a double.  Since
 ``y <= 1e12 < 2**40``, every tie n + 1/2 is a double, so y lies on the same
 side of each tie as the exact product unless y is the tie itself.  The tie
-margin is therefore zero: where y is not on a tie, ``rint(y)`` is the exact
-product rounded to 12 digits, as ``%.12g`` rounds it, and a carry to 10**12
-moves e up one.  The digits are split into groups in float arithmetic, exact
-because every value is an integer below 2**53, and each group is one word of
-a lookup table.  A cell is a row of eight 4-byte words: the sign, three
-words of integer digits (places 10**11 ... 10**0), the point and three
-fraction digits, four, four, and three digits and a NUL.  Leading zeros,
-trailing fraction zeros, the point of a whole number and the sign of a
-positive one are masked to NUL, and word columns that are NUL in every cell
-of a block are dropped.
+margin is therefore zero: where y is not on a tie, ``m = rint(y)`` is the
+exact product rounded to 12 digits, as ``%.12g`` rounds it, and a carry to
+10**12 moves e up one.  ``m * 10**(e + 3)`` is |x| * 10**14 rounded to 12
+digits: an integer below 1e15 < 2**53, so the product is exact, and it holds
+the integer digit and 14 fraction digits.  They are split into groups of 2,
+4, 4, 4 and 1 digits in float arithmetic, exact for integers below 2**53,
+and each group is one word of a lookup table.  A cell is a row of five
+4-byte words: the sign, the integer digit, the point and the first fraction
+digit; three words of four fraction digits; the last digit and three NULs.
+The sign of a positive number is NUL; trailing fraction zeros, and the point
+of a whole number, are masked to NUL; and word columns that are NUL in every
+cell of a block are dropped.
 
 Every other float takes the ``%`` rule one cell at a time: nan and the
 infinities, |x| < 1e-3 (zero, -0.0 and subnormals included), values that
-round to 1e12 or more, and cells whose y lies exactly on a tie.  So do
-integer columns.  Text columns are numpy ``S`` arrays, taken as they are; a
-list of ``str`` is encoded once.
+round to 10 or more (the same text, only slower), and cells whose y lies
+exactly on a tie.  So do integer columns.  Text columns are numpy ``S``
+arrays, taken as they are; a list of ``str`` is encoded once.  Both writers
+write bytes to a binary stream: the file's, or stdout's buffer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -60,19 +67,16 @@ __all__ = [
 BLOCK_ROWS = 1 << 14
 
 
-def _words(matrix) -> np.ndarray:
-    """Each row of four bytes as one word, in the machine's byte order."""
-    return np.ascontiguousarray(matrix, np.uint8).view(np.uint32)[..., 0]
+def _words(texts: Iterable[str]) -> np.ndarray:
+    """Each text of four one-byte characters as one word, in the machine's byte order."""
+    return np.frombuffer("".join(texts).encode("latin-1"), np.uint32)
 
 
-def _digits(width: int, before: bytes = b"", after: bytes = b"") -> np.ndarray:
-    """The ASCII digits of 0 ... 10**width - 1, one row each, between two fixed texts."""
+def _digit_words() -> np.ndarray:
+    """The ASCII digits of 0 ... 9999, one word each (what ``_words`` makes of them, faster)."""
     ten = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    count = 10**width
-    columns = [np.full(count, byte, np.uint8) for byte in before]
-    columns += [np.tile(np.repeat(ten, 10 ** (width - 1 - k)), 10**k) for k in range(width)]
-    columns += [np.full(count, byte, np.uint8) for byte in after]
-    return np.stack(columns, axis=1)
+    columns = [np.tile(np.repeat(ten, 10 ** (3 - k)), 10**k) for k in range(4)]
+    return np.stack(columns, axis=1).view(np.uint32)[:, 0]
 
 
 def _trailing_zeros(width: int) -> np.ndarray:
@@ -83,20 +87,20 @@ def _trailing_zeros(width: int) -> np.ndarray:
     return zeros
 
 
-_LOWER = np.array([float(f"1e{k}") for k in range(-3, 13)])
+_LOWER = np.array([1e-3, 1e-2, 1e-1, 1.0])
 _POW10 = np.array([float(10**k) for k in range(15)])
-_MINUS = _words([ord("-"), 0, 0, 0])
-_DIGITS4 = _words(_digits(4))
-_POINT3 = _words(_digits(3, before=b"."))
-_DIGITS3 = _words(_digits(3, after=b"\0"))
-_ZEROS3, _ZEROS4 = _trailing_zeros(3), _trailing_zeros(4)
-#: Integer words by the top place shown: byte i of word k is place 11 - 4k - i.
-_WHOLE_MASKS = _words([[[255 * (11 - 4 * k - i <= top) for i in range(4)] for top in range(12)]
-                       for k in range(3)])
-#: Fraction words by the number of fraction digits shown: byte i of word k is
-#: fraction digit 4k + i, and byte 0 of word 0 is the point.
-_FRAC_MASKS = _words([[[255 * (max(4 * k + i, 1) <= shown) for i in range(4)] for shown in range(15)]
-                      for k in range(4)])
+#: Word 0 by ``100 * negative + top two digits``: the sign, the integer digit,
+#: the point and the first fraction digit.
+_LEAD = _words(f"{sign}{i // 10}.{i % 10}" for sign in "\0-" for i in range(100))
+_DIGITS4 = _digit_words()
+_LAST = _words(f"{i}\0\0\0" for i in range(10))
+_ZEROS4 = _trailing_zeros(4)
+#: Words by the number of fraction digits shown: byte i of word k is fraction
+#: digit 4k + i - 2, byte 2 of word 0 is the point, bytes 0 and 1 of word 0
+#: (sign and integer digit) always show.
+_FRAC_MASKS = _words("\xff" if p < 0 or max(p, 1) <= shown else "\0"
+                     for k in range(5) for shown in range(15)
+                     for p in range(4 * k - 2, 4 * k + 2)).reshape(5, 15)
 
 
 def _percent(cells: list) -> list[str]:
@@ -133,36 +137,32 @@ def _number_cells(x: np.ndarray) -> np.ndarray:
     """The cell matrix of floats: 12 digits made in numpy, the rest by ``%``."""
     n = len(x)
     a = np.abs(x)
-    ok = (a >= 1e-3) & (a < 1e12)
-    e = np.clip(np.searchsorted(_LOWER, a, side="right") - 4, -3, 11)
+    ok = (a >= 1e-3) & (a < 10)
+    e = np.clip(np.searchsorted(_LOWER, a, side="right") - 4, -3, 0)
     y = np.where(ok, a, 1.0) * _POW10[11 - e]
     m = np.rint(y)
     ok &= np.abs(y - m) != 0.5  # on a tie: which side the exact product is on is unknown
     carry = m == 1e12
-    ok &= ~(carry & (a >= 1e11))  # rounds to 1e12
+    ok &= ~(carry & (e == 0))  # rounds to 10
     m[carry] = 1e11
     e[carry & ok] += 1
-    whole, rest = _split(m, _POW10[11 - e])
-    frac = rest * _POW10[e + 3]  # the 14 fraction digits
-    groups = np.empty((7, n), np.intp)
-    groups[0], rest = _split(whole, 1e8)
-    groups[1], groups[2] = _split(rest, 1e4)
-    groups[3], rest = _split(frac, 1e11)
-    groups[4], rest = _split(rest, 1e7)
-    groups[5], groups[6] = _split(rest, 1e3)
-    zeros = _ZEROS3[groups[6]]  # trailing zeros of the fraction, from its last group up
-    zeros = np.where(zeros == 3, zeros + _ZEROS4[groups[5]], zeros)
-    zeros = np.where(zeros == 7, zeros + _ZEROS4[groups[4]], zeros)
-    zeros = np.where(zeros == 11, zeros + _ZEROS3[groups[3]], zeros)
-    words = np.empty((8, n), np.uint32)
-    words[0] = np.where(x < 0, _MINUS, 0)
-    words[1:4] = _DIGITS4[groups[:3]] & np.take(_WHOLE_MASKS, np.maximum(e, 0), axis=1)
-    words[4] = _POINT3[groups[3]]
-    words[5:7] = _DIGITS4[groups[4:6]]
-    words[7] = _DIGITS3[groups[6]]
-    words[4:] &= np.take(_FRAC_MASKS, 14 - zeros, axis=1)
-    live = np.flatnonzero(words.max(axis=1))
-    cells = np.ascontiguousarray(words[live[0]:live[-1] + 1].T).view(np.uint8)
+    groups = np.empty((5, n), np.intp)
+    groups[0], rest = _split(m * _POW10[e + 3], 1e13)  # |x| * 10**14, rounded to 12 digits
+    groups[1], rest = _split(rest, 1e9)
+    groups[2], rest = _split(rest, 1e5)
+    groups[3], groups[4] = _split(rest, 10)
+    zeros = (groups[4] == 0).astype(np.intp)  # trailing zeros of the fraction, from its last digit up
+    for k, group in (1, groups[3]), (5, groups[2]), (9, groups[1]):
+        zeros = np.where(zeros == k, zeros + _ZEROS4[group], zeros)
+    zeros += (zeros == 13) & (groups[0] % 10 == 0)
+    groups[0] += 100 * (x < 0)
+    words = np.empty((5, n), np.uint32)
+    words[0] = _LEAD[groups[0]]
+    words[1:4] = _DIGITS4[groups[1:4]]
+    words[4] = _LAST[groups[4]]
+    words &= np.take(_FRAC_MASKS, 14 - zeros, axis=1)
+    width = np.flatnonzero(words.max(axis=1))[-1] + 1
+    cells = np.ascontiguousarray(words[:width].T).view(np.uint8)
     bad = np.flatnonzero(~ok)
     if bad.size:
         texts = _text_cells(_percent(x[bad].tolist()))
@@ -204,10 +204,16 @@ def _finite(text: str) -> float:
     return value
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _binary_out(path: str | None):
+    """The binary stream of ``path``, or stdout's for None or ``-``, flushed when done."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        sys.stdout.flush()
+        yield sys.stdout.buffer
+        sys.stdout.buffer.flush()
+    else:
+        with open(path, "wb") as stream:
+            yield stream
 
 
 def _columns(block: dict[str, Sequence]) -> list[Sequence]:
@@ -228,7 +234,7 @@ def write_csv(path: str | None, manifest: dict, table: dict | Iterable[dict]) ->
     already formatted.  Every column has the same length.  ``table`` may
     instead be an iterable of such dicts, blocks of rows under the first
     block's names, written in turn.  Rows go out ``BLOCK_ROWS`` at a time,
-    each block written as one string.  The first block is checked before the
+    each block written as one ``bytes``.  The first block is checked before the
     output opens: a table with no block or no column raises ``ValueError``
     and leaves no file.
     """
@@ -237,17 +243,13 @@ def write_csv(path: str | None, manifest: dict, table: dict | Iterable[dict]) ->
     if first is None:
         raise ValueError("a table needs at least one block of rows")
     checked = _columns(first)
-    stream, owned = _open_out(path)
-    try:
-        stream.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
-        stream.write(",".join(first) + "\n")
+    with _binary_out(path) as stream:
+        head = f"# manifest: {json.dumps(manifest, sort_keys=True)}\n" + ",".join(first) + "\n"
+        stream.write(head.encode())
         for columns in itertools.chain([checked], map(_columns, blocks)):
             for start in range(0, len(columns[0]), BLOCK_ROWS):
                 cells = [_cells(column[start:start + BLOCK_ROWS]) for column in columns]
-                stream.write(_joined(cells).decode())
-    finally:
-        if owned:
-            stream.close()
+                stream.write(_joined(cells))
 
 
 def write_json(path: str | None, manifest: dict, payload: dict) -> None:
@@ -258,12 +260,8 @@ def write_json(path: str | None, manifest: dict, payload: dict) -> None:
     """
     document = _rounded({"manifest": manifest, **payload})
     text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    stream, owned = _open_out(path)
-    try:
-        stream.write(text)
-    finally:
-        if owned:
-            stream.close()
+    with _binary_out(path) as stream:
+        stream.write(text.encode())
 
 
 def _rounded(node):

@@ -61,8 +61,8 @@ def mix_coin(
 ) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
     """Apply a 2x2 coin at every position: ``(a0', a1')^T = coin (a0, a1)^T``.
 
-    ``coin[i, j]`` may be a scalar or an array that broadcasts against the
-    amplitudes, so one call applies a different coin to each batch row.
+    ``coin[i, j]`` are arrays that broadcast against the amplitudes, so one
+    call applies a different coin to each batch row.
     """
     return (
         coin[0, 0] * amp0 + coin[0, 1] * amp1,
@@ -109,14 +109,12 @@ def basis_walk(sequences: Sequence[CoinSequence], steps: int):
     if not sequences:
         raise ValueError("need at least one coin sequence")
     # Every candidate's pattern repeats within the lcm of the periods, so the
-    # coins of steps 1..width, cycled, are those of every step.  A lone
-    # candidate's coin entries are scalars (numpy's fast path); a stack's are
-    # (n, 1, 1) columns that broadcast over its basis coins and positions.
+    # coins of steps 1..width, cycled, are those of every step.  The coin
+    # entries are (n, 1, 1) columns that broadcast over basis coins and positions.
     n = len(sequences)
     width = min(math.lcm(*(len(seq.pattern) for seq in sequences)), steps)
     codes = [np.resize([ALPHABET.index(name) for name in seq.pattern[:width]], width) for seq in sequences]
-    schedule = np.moveaxis(_COIN_TABLE[:, :, np.array(codes)], -1, 0)  # (width, 2, 2, n)
-    schedule = schedule[..., 0] if n == 1 else schedule[..., None, None]
+    schedule = np.moveaxis(_COIN_TABLE[:, :, np.array(codes), None, None], 3, 0)  # (width, 2, 2, n, 1, 1)
     amp0, amp1 = np.zeros((2, n, 2, 2 * steps + 1), dtype=np.complex128)
     amp0[:, 0, steps] = 1.0
     amp1[:, 1, steps] = 1.0

@@ -131,6 +131,16 @@ def test_average_identical_invocations_are_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--theta-steps", "--phi-steps"])
+def test_grid_single_sample_axis_is_usage_error(tmp_path, capsys, flag):
+    out = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        run("grid", "--seq", "H", "--t", 2, flag, 1, "--out", out)
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: must be >= 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_average_zero_samples_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         run("average", "--seq", "H", "--steps", 5, "--samples", 0)
@@ -503,6 +513,19 @@ CSV_SHA256 = {
         ["search", "--max-period", "3", "--t", "20", "--samples", "50"],
         "fb4e8d5ad064e912f92329cb301e800833d2e60f33e1ddf0927a1adfcab8d15a",
     ),
+    # The other three benchmark workloads at seed 1.
+    "avg-mmf": (
+        ["average", "--seq", "MMF", "--steps", "140", "--samples", "2500", "--seed", "1"],
+        "122bb0527b4c9c31f765b8ed8cbf69930368af54c0f24e5b2fa719e3329d9b7f",
+    ),
+    "search-p3": (
+        ["search", "--alphabet", "HFMX", "--max-period", "3", "--t", "50", "--samples", "500", "--seed", "1"],
+        "7ccccfa678a421b28c70324f5ba4369f546ea9201fdca743c96cf5f4753974ce",
+    ),
+    "avg-xxx-t2": (
+        ["average", "--seq", "XXX", "--steps", "50", "--samples", "16384", "--threads", "2", "--seed", "1"],
+        "640f8c590a3b46f16ad36f49d9a5fc051a2c17084ffa28341c36aea6859d3fca",
+    ),
 }
 
 
@@ -514,11 +537,26 @@ def test_csv_bytes_are_pinned(tmp_path, command):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
-@pytest.mark.parametrize("command", ["trace", "grid-blocks", "compare"])
+@pytest.mark.parametrize("command", sorted(CSV_SHA256))
 def test_stdout_bytes_are_the_file_bytes(capfdbinary, command):
     argv, expected = CSV_SHA256[command]
     assert run(*argv, "--out", "-") == 0
     assert hashlib.sha256(capfdbinary.readouterr().out).hexdigest() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--in", "{csv}", "--tmin", "5", "--extrapolate", "400,1000"],
+    ["parrondo", "--ab", "XXH", "--a", "X", "--b", "H", "--t", "20", "--samples", "50"],
+], ids=["fit", "parrondo"])
+def test_json_stdout_bytes_are_the_file_bytes(tmp_path, capfdbinary, argv):
+    csv = tmp_path / "avg.csv"
+    assert run("average", "--seq", "MMF", "--steps", 30, "--samples", 50, "--out", csv) == 0
+    argv = [arg.format(csv=csv) for arg in argv]
+    out = tmp_path / "out.json"
+    assert run(*argv, "--out", out) == 0
+    capfdbinary.readouterr()
+    assert run(*argv, "--out", "-") == 0
+    assert capfdbinary.readouterr().out == out.read_bytes()
 
 
 def test_grid_output_memory_is_bounded():
