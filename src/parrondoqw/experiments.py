@@ -11,9 +11,9 @@ which draws every angle up front from a single seeded generator.
 
 Fairness rule for comparisons: a shared (seed-determined) initial-state set
 is evolved under every candidate sequence, never re-sampled per candidate.
-``compare_table`` walks its candidates together on the candidate axis of
-``basis_walk``, with one stacked QR per block and recorded step, then
-reduces each candidate on its own.
+Every sampled mean comes from ``_sampled_sweep``, which walks the candidates
+together on the candidate axis of ``basis_walk``, with one stacked QR per
+block and recorded step, then reduces each candidate on its own.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 #: Bytes of basis-walk state (two ``(2, 2*steps+1)`` complex planes per
-#: candidate) that ``compare_table`` walks at once.  The mix, shift and
+#: candidate) that ``_sampled_sweep`` walks at once.  The mix, shift and
 #: stacked QR hold a few times as much; larger blocks raise peak RSS for
 #: little gain in speed.
 WALK_BLOCK_BYTES = 2**16
@@ -250,6 +250,27 @@ def coin_densities(
         yield _channel_reduction(r0[0], r1[0], coin0, coin1)
 
 
+def _sampled_sweep(sequences: Sequence[CoinSequence], recorded: Sequence[int], samples: int, seed: int):
+    """Mean and std (ddof=0) of S over one seeded sample set, each ``(len(sequences), len(recorded))``.
+
+    Candidates walk in blocks of at most ``WALK_BLOCK_BYTES`` of walk state and
+    each is reduced on its own, so memory is O(samples + WALK_BLOCK_BYTES) and
+    a candidate's values are bitwise those it gets walking alone.
+    """
+    coin0, coin1 = _initial_coins(*sample_initial_states(samples, seed).T)
+    steps = recorded[-1]
+    mean_s, std_s = np.empty((2, len(sequences), len(recorded)))
+    # At least one candidate per block, however long its walk.
+    size = max(1, WALK_BLOCK_BYTES // (2 * 2 * (2 * steps + 1) * np.dtype(np.complex128).itemsize))
+    for start in range(0, len(sequences), size):
+        block = _coin_channel(sequences[start:start + size], steps, recorded)
+        for column, (r0, r1) in enumerate(block):
+            for m, (r0_m, r1_m) in enumerate(zip(r0, r1), start=start):
+                values = schmidt_norm_from(*_channel_reduction(r0_m, r1_m, coin0, coin1))
+                mean_s[m, column], std_s[m, column] = values.mean(), values.std()
+    return mean_s, std_s
+
+
 # ---------------------------------------------------------------------------
 # Protocols.
 # ---------------------------------------------------------------------------
@@ -268,17 +289,8 @@ def average_schmidt(
     alongside the mean so tolerances stay auditable.  Each step's S values
     are reduced as they come, so memory is O(samples), not O(steps*samples).
     """
-    states = sample_initial_states(samples, seed)
-    mean_s, std_s = [], []
-    for densities in coin_densities(states, sequence, steps):
-        values = schmidt_norm_from(*densities)
-        mean_s.append(values.mean())
-        std_s.append(values.std())
-    return AverageTrajectory(
-        steps=np.arange(1, steps + 1),
-        mean_s=np.array(mean_s),
-        std_s=np.array(std_s),
-    )
+    mean_s, std_s = _sampled_sweep([sequence], _record_steps(steps, None), samples, seed)
+    return AverageTrajectory(steps=np.arange(1, steps + 1), mean_s=mean_s[0], std_s=std_s[0])
 
 
 def log_fit(
@@ -398,14 +410,13 @@ def parrondo_check(
     """Does the two-coin sequence beat both of its single-coin parents at step t?
 
     ``seq_a`` and ``seq_b`` must be single-coin sequences.  All three means
-    are taken over the same seeded sample set.
+    are those ``compare_table`` gives, over the same seeded sample set.
     """
     for seq, role in ((seq_a, "a"), (seq_b, "b")):
         if not seq.is_single_coin():
             raise ValueError(f"baseline sequence {role!r} must be single-coin, got {seq.label!r}")
-    rows = compare_table([seq_ab, seq_a, seq_b], [t], samples, seed)
-    means = {row.sequence_label: row.mean_s for row in rows}
-    return ParrondoReport(means[seq_ab.label], means[seq_a.label], means[seq_b.label])
+    means, _ = _sampled_sweep([seq_ab, seq_a, seq_b], _record_steps(t, [t]), samples, seed)
+    return ParrondoReport(*means[:, 0].tolist())
 
 
 def compare_table(
@@ -418,33 +429,19 @@ def compare_table(
 
     Rows are ordered by step, then descending mean, ties broken by label.
     Rows are keyed by label and step: a repeated label is walked once and
-    gives one set of rows, a repeated step repeats its rows.  Candidates walk
-    together in blocks of at most ``WALK_BLOCK_BYTES`` of walk state, and each
-    one's recorded steps are reduced to their means as they come, so memory
-    is O(samples + WALK_BLOCK_BYTES), not O(steps*samples).  A candidate's
-    means are bitwise those it gets walking alone.
+    gives one set of rows, a repeated step repeats its rows.  Memory is
+    O(samples + WALK_BLOCK_BYTES), and a candidate's means are bitwise those
+    it gets walking alone (``_sampled_sweep``).
     """
     if not candidates:
         raise ValueError("need at least one candidate sequence")
     if not step_list:
         raise ValueError("need at least one step value")
-    states = sample_initial_states(samples, seed)
-    steps = max(step_list)
-    recorded = _record_steps(steps, sorted(set(step_list)))
-    coin0, coin1 = _initial_coins(*_angle_arrays(states))
+    recorded = _record_steps(max(step_list), sorted(set(step_list)))
     distinct = list({seq.label: seq for seq in candidates}.values())
-    means = np.empty((len(distinct), len(recorded)))
-    # At least one candidate per block, however long its walk.
-    size = max(1, WALK_BLOCK_BYTES // (2 * 2 * (2 * steps + 1) * np.dtype(np.complex128).itemsize))
-    for start in range(0, len(distinct), size):
-        block = distinct[start:start + size]
-        for column, (r0, r1) in enumerate(_coin_channel(block, steps, recorded)):
-            for m, (r0_m, r1_m) in enumerate(zip(r0, r1), start=start):
-                densities = _channel_reduction(r0_m, r1_m, coin0, coin1)
-                means[m, column] = schmidt_norm_from(*densities).mean()
-    columns = {t: column for column, t in enumerate(recorded)}
+    means, _ = _sampled_sweep(distinct, recorded, samples, seed)
     rows = [
-        ComparisonRow(seq.label, int(t), float(means[m, columns[t]]))
+        ComparisonRow(seq.label, int(t), float(means[m, recorded.index(t)]))
         for t in step_list
         for m, seq in enumerate(distinct)
     ]

@@ -42,7 +42,7 @@ infinities, |x| < 1e-3 (zero, -0.0 and subnormals included), values that
 round to 10 or more (the same text, only slower), and cells whose y lies
 exactly on a tie.  So do integer columns.  Text columns are numpy ``S``
 arrays, taken as they are; a list of ``str`` is encoded once.  Both writers
-write bytes to a binary stream: the file's, or stdout's buffer.
+write bytes to the file, or to stdout's buffer (decoded to a stdout with none).
 """
 
 from __future__ import annotations
@@ -206,14 +206,15 @@ def _finite(text: str) -> float:
 
 @contextlib.contextmanager
 def _binary_out(path: str | None):
-    """The binary stream of ``path``, or stdout's for None or ``-``, flushed when done."""
+    """The binary ``write`` of ``path``, or of stdout for None or ``-`` (decoded if it has no buffer)."""
     if path is None or path == "-":
         sys.stdout.flush()
-        yield sys.stdout.buffer
-        sys.stdout.buffer.flush()
+        stream = getattr(sys.stdout, "buffer", sys.stdout)
+        yield stream.write if stream is not sys.stdout else lambda data: stream.write(data.decode())
+        stream.flush()
     else:
         with open(path, "wb") as stream:
-            yield stream
+            yield stream.write
 
 
 def _columns(block: dict[str, Sequence]) -> list[Sequence]:
@@ -243,13 +244,13 @@ def write_csv(path: str | None, manifest: dict, table: dict | Iterable[dict]) ->
     if first is None:
         raise ValueError("a table needs at least one block of rows")
     checked = _columns(first)
-    with _binary_out(path) as stream:
+    with _binary_out(path) as write:
         head = f"# manifest: {json.dumps(manifest, sort_keys=True)}\n" + ",".join(first) + "\n"
-        stream.write(head.encode())
+        write(head.encode())
         for columns in itertools.chain([checked], map(_columns, blocks)):
             for start in range(0, len(columns[0]), BLOCK_ROWS):
                 cells = [_cells(column[start:start + BLOCK_ROWS]) for column in columns]
-                stream.write(_joined(cells))
+                write(_joined(cells))
 
 
 def write_json(path: str | None, manifest: dict, payload: dict) -> None:
@@ -260,8 +261,8 @@ def write_json(path: str | None, manifest: dict, payload: dict) -> None:
     """
     document = _rounded({"manifest": manifest, **payload})
     text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    with _binary_out(path) as stream:
-        stream.write(text.encode())
+    with _binary_out(path) as write:
+        write(text.encode())
 
 
 def _rounded(node):

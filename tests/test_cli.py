@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -410,6 +412,19 @@ def test_stdout_output(capsys):
     assert "t,S," in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--seq", "H", "--theta", "0", "--steps", "1"],
+    ["parrondo", "--ab", "XXH", "--a", "X", "--b", "H", "--t", "5", "--samples", "10"],
+], ids=["csv", "json"])
+def test_stdout_without_buffer_gets_the_file_bytes(tmp_path, argv):
+    # An io.StringIO stdout has no binary buffer to write the bytes to.
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert run(*argv) == 0
+    assert text.getvalue().encode() == out.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # manifests: one builder for all seven commands
 # ---------------------------------------------------------------------------
@@ -542,6 +557,31 @@ def test_stdout_bytes_are_the_file_bytes(capfdbinary, command):
     argv, expected = CSV_SHA256[command]
     assert run(*argv, "--out", "-") == 0
     assert hashlib.sha256(capfdbinary.readouterr().out).hexdigest() == expected
+
+
+# SHA-256 of the whole JSON output, recorded before parrondo_check took its
+# means from the shared sampled sweep.  fit reads an average output written
+# beside it, by relative path, since its manifest records the path as given.
+JSON_SHA256 = {
+    "fit": (
+        ["fit", "--in", "mmf.csv", "--tmin", "10", "--extrapolate", "400"],
+        "4c5ecc6bf1f61dce3ad15ebf6d1d8e2e6237a489b1163cd15aafc66bb1abcb97",
+    ),
+    "parrondo": (
+        ["parrondo", "--ab", "XXH", "--a", "X", "--b", "H", "--t", "50", "--samples", "100", "--seed", "1"],
+        "dee8465641b5b514c6b45d981bba73c936b4eb7082edf74f1d8b8f87e833df3a",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_SHA256))
+def test_json_bytes_are_pinned(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert run("average", "--seq", "MMF", "--steps", 140, "--samples", 100, "--seed", 1,
+               "--out", "mmf.csv") == 0
+    argv, expected = JSON_SHA256[command]
+    assert run(*argv, "--out", "out.json") == 0
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == expected
 
 
 @pytest.mark.parametrize("argv", [

@@ -180,7 +180,8 @@ def test_average_mean_within_physical_bounds():
 @pytest.mark.parametrize("run", [
     lambda: average_schmidt(parse("XXX"), 400, 5000, 1),
     lambda: compare_table([parse("XXX")], range(1, 401), 5000, 1),
-], ids=["average", "compare"])
+    lambda: compare_table(enumerate_patterns("HFMX", 3), [3], 20000, 1),
+], ids=["average", "compare", "compare-candidates"])
 def test_average_memory_is_bounded_by_samples(run):
     # 400 steps x 5000 samples of S alone would take 16 MB; reducing each
     # step as it comes keeps the peak at a few (N,) arrays.
@@ -340,6 +341,15 @@ def test_parrondo_degenerate_sequences_tie():
 def test_parrondo_rejects_multi_coin_baseline():
     with pytest.raises(ValueError, match="single-coin"):
         parrondo_check(parse("XXH"), parse("XH"), parse("H"), t=5, samples=10, seed=1)
+
+
+def test_parrondo_means_are_compare_table_means():
+    # Fairness rule: the same sequences, step, samples and seed give bitwise
+    # the means that compare_table ranks.
+    sequences = [parse("MMF"), parse("M"), parse("F")]
+    report = parrondo_check(*sequences, t=30, samples=200, seed=5)
+    means = {r.sequence_label: r.mean_s for r in compare_table(sequences, [30], samples=200, seed=5)}
+    assert (report.mean_combined, report.mean_a, report.mean_b) == (means["MMF"], means["M"], means["F"])
 
 
 def test_rank_sequences_orders_by_mean():
