@@ -30,14 +30,15 @@ from .entanglement import MAX_SCHMIDT_NORM, eigenvalues_from
 from .experiments import (
     TWO_PI,
     _angle_arrays,
+    _grid_axes,
+    _grid_groups,
     average_schmidt,
     coin_densities,
     compare_table,
-    grid_schmidt,
     log_fit,
     parrondo_check,
 )
-from .output import BLOCK_ROWS, format_column, read_average_csv, write_csv, write_json
+from .output import format_column, read_average_csv, write_csv, write_json
 from .sequences import enumerate_patterns, parse
 
 __all__ = ["main"]
@@ -231,17 +232,18 @@ def _cmd_fit(args) -> None:
 def _cmd_grid(args) -> None:
     sequence = parse(args.seq)
     args.seq = sequence.label
-    result = grid_schmidt(sequence, args.t, args.theta_steps, args.phi_steps)
+    theta_axis, phi_axis = _grid_axes(args.theta_steps, args.phi_steps)
     # Format each axis value once, as numpy text: every cell of a row or
-    # column repeats it.  Cells become text one group of theta rows at a time.
-    thetas = np.array(format_column(result.theta_axis), dtype="S")
-    phis = np.array(format_column(result.phi_axis), dtype="S")
-    rows = max(1, BLOCK_ROWS // len(phis))
+    # column repeats it.  Each group of theta rows becomes text as it is
+    # reduced, so the grid's values are never held whole; write_csv takes the
+    # first group, and so the walk, before the output opens.
+    thetas = np.array(format_column(theta_axis), dtype="S")
+    phis = np.array(format_column(phi_axis), dtype="S")
     write_csv(args.out, _manifest(args), (
-        {"theta": np.repeat(thetas[i:i + rows], len(phis)),
-         "phi": np.tile(phis, len(thetas[i:i + rows])),
-         "S": result.values[i:i + rows].ravel()}
-        for i in range(0, len(thetas), rows)
+        {"theta": np.repeat(thetas[rows], len(phis)),
+         "phi": np.tile(phis, len(thetas[rows])),
+         "S": values.ravel()}
+        for rows, values in _grid_groups(sequence, args.t, theta_axis, phi_axis)
     ))
 
 

@@ -13,7 +13,8 @@ Fairness rule for comparisons: a shared (seed-determined) initial-state set
 is evolved under every candidate sequence, never re-sampled per candidate.
 Every sampled mean comes from ``_sampled_sweep``, which walks the candidates
 together on the candidate axis of ``basis_walk``, with one stacked QR per
-block and recorded step, then reduces each candidate on its own.
+block and recorded step, then reduces each candidate on its own, in blocks of
+``BLOCK_ROWS`` samples.
 """
 
 from __future__ import annotations
@@ -253,20 +254,27 @@ def coin_densities(
 def _sampled_sweep(sequences: Sequence[CoinSequence], recorded: Sequence[int], samples: int, seed: int):
     """Mean and std (ddof=0) of S over one seeded sample set, each ``(len(sequences), len(recorded))``.
 
-    Candidates walk in blocks of at most ``WALK_BLOCK_BYTES`` of walk state and
-    each is reduced on its own, so memory is O(samples + WALK_BLOCK_BYTES) and
-    a candidate's values are bitwise those it gets walking alone.
+    Candidates walk in blocks of at most ``WALK_BLOCK_BYTES`` of walk state.
+    Each candidate and recorded step is reduced on its own, ``BLOCK_ROWS``
+    samples at a time, into one ``(samples,)`` buffer of S, whose mean and std
+    are then taken whole.  So the reduction's temporaries stay in cache,
+    memory is O(samples + WALK_BLOCK_BYTES), and a candidate's values are
+    bitwise those it gets walking alone, at any block size.
     """
     coin0, coin1 = _initial_coins(*sample_initial_states(samples, seed).T)
     steps = recorded[-1]
     mean_s, std_s = np.empty((2, len(sequences), len(recorded)))
+    values = np.empty(samples)
     # At least one candidate per block, however long its walk.
     size = max(1, WALK_BLOCK_BYTES // (2 * 2 * (2 * steps + 1) * np.dtype(np.complex128).itemsize))
     for start in range(0, len(sequences), size):
         block = _coin_channel(sequences[start:start + size], steps, recorded)
         for column, (r0, r1) in enumerate(block):
             for m, (r0_m, r1_m) in enumerate(zip(r0, r1), start=start):
-                values = schmidt_norm_from(*_channel_reduction(r0_m, r1_m, coin0, coin1))
+                for first in range(0, samples, BLOCK_ROWS):
+                    part = slice(first, first + BLOCK_ROWS)
+                    values[part] = schmidt_norm_from(
+                        *_channel_reduction(r0_m, r1_m, coin0[part], coin1[part]))
                 mean_s[m, column], std_s[m, column] = values.mean(), values.std()
     return mean_s, std_s
 
@@ -358,6 +366,21 @@ def _grid_angles(theta_steps: int, phi_steps: int) -> tuple[NDArray, NDArray, ND
     return theta_axis, phi_axis, angles.reshape(-1, 2)
 
 
+def _grid_groups(sequence: CoinSequence, t: int, theta_axis: NDArray, phi_axis: NDArray):
+    """Yield ``(rows, values)``: a slice of theta rows of about ``BLOCK_ROWS`` cells and their S.
+
+    The walk runs once, at the first group.  Each group's coins come from the
+    two axes, so no ``(theta, phi)`` cell array is built; ``values`` has shape
+    ``(rows, len(phi_axis))``.
+    """
+    ((r0, r1),) = _coin_channel([sequence], t, _record_steps(t, [t]))
+    size = max(1, BLOCK_ROWS // len(phi_axis))
+    for start in range(0, len(theta_axis), size):
+        rows = slice(start, start + size)
+        coins = _initial_coins(theta_axis[rows, None], phi_axis)
+        yield rows, schmidt_norm_from(*_channel_reduction(r0[0], r1[0], *coins))
+
+
 def grid_schmidt(
     sequence: CoinSequence,
     t: int,
@@ -366,17 +389,15 @@ def grid_schmidt(
 ) -> GridResult:
     """Schmidt norm at step ``t`` on a regular (theta, phi) grid; deterministic.
 
-    Groups of theta rows of about ``BLOCK_ROWS`` cells are reduced in turn,
-    coins taken from the axes, bitwise as ``coin_densities`` gives each cell.
+    ``values`` is filled from ``_grid_groups``, one group of theta rows of
+    about ``BLOCK_ROWS`` cells at a time, bitwise as ``coin_densities`` gives
+    each cell.  The ``grid`` command writes the same groups without holding
+    ``values``.
     """
     theta_axis, phi_axis = _grid_axes(theta_steps, phi_steps)
-    ((r0, r1),) = _coin_channel([sequence], t, _record_steps(t, [t]))
     values = np.empty((theta_steps, phi_steps))
-    rows = max(1, BLOCK_ROWS // phi_steps)
-    for start in range(0, theta_steps, rows):
-        block = slice(start, start + rows)
-        coins = _initial_coins(theta_axis[block, None], phi_axis)
-        values[block] = schmidt_norm_from(*_channel_reduction(r0[0], r1[0], *coins))
+    for rows, group in _grid_groups(sequence, t, theta_axis, phi_axis):
+        values[rows] = group
     return GridResult(theta_axis=theta_axis, phi_axis=phi_axis, values=values)
 
 

@@ -611,6 +611,19 @@ def test_grid_output_memory_is_bounded():
     assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_grid_output_memory_does_not_grow_with_the_grid():
+    # 1441 x 720 cells: the grid's values alone would take 7.9 MiB.  The CLI
+    # writes each group of theta rows as it is reduced and holds one block.
+    tracemalloc.start()
+    try:
+        assert run("grid", "--seq", "HHH", "--t", "8", "--theta-steps", "1441",
+                   "--phi-steps", "720", "--out", os.devnull) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # allocations that cannot succeed
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from parrondoqw import experiments
 from parrondoqw.experiments import (
     WALK_BLOCK_BYTES,
     _grid_angles,
+    _sampled_sweep,
     AverageTrajectory,
     average_schmidt,
     coin_densities,
@@ -19,7 +21,6 @@ from parrondoqw.experiments import (
 )
 from parrondoqw.entanglement import schmidt_norm_from
 from parrondoqw.oracles import InitialState, dense_reference_evolve
-from parrondoqw.output import BLOCK_ROWS
 from parrondoqw.sequences import enumerate_patterns, parse
 
 SQRT2 = math.sqrt(2.0)
@@ -194,6 +195,22 @@ def test_average_memory_is_bounded_by_samples(run):
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("block_rows", [1000, 4096])
+def test_sampled_sweep_is_bitwise_the_same_at_every_sample_block_size(monkeypatch, block_rows):
+    # 2,500 samples in blocks of 1000 leave a partial last block; 4096 is one
+    # block.  Each sample's S is elementwise arithmetic and the mean and std
+    # run over the whole buffer, so both equal a single whole block bitwise.
+    sequences = [parse("MMF"), parse("XXH"), parse("HFX"), parse("H")]
+    recorded = [1, 3, 7, 20]
+    monkeypatch.setattr(experiments, "BLOCK_ROWS", 2500)
+    whole = _sampled_sweep(sequences, recorded, 2500, 3)
+    monkeypatch.setattr(experiments, "BLOCK_ROWS", block_rows)
+    mean_s, std_s = _sampled_sweep(sequences, recorded, 2500, 3)
+    assert mean_s.shape == std_s.shape == (4, 4)
+    np.testing.assert_array_equal(mean_s, whole[0])
+    np.testing.assert_array_equal(std_s, whole[1])
+
+
 # ---------------------------------------------------------------------------
 # log_fit
 # ---------------------------------------------------------------------------
@@ -275,9 +292,9 @@ def test_fourier_grid_is_phase_shifted_hadamard_grid():
     )
 
 
-# (37, 1000): 16-row groups, the last one partial.  (3, BLOCK_ROWS + 5):
-# one theta row per group.
-@pytest.mark.parametrize("theta_steps, phi_steps", [(37, 1000), (3, BLOCK_ROWS + 5)])
+# (37, 1000): 4-row groups, the last one partial.  (3, 16389): more phi
+# cells than BLOCK_ROWS, so one theta row per group.
+@pytest.mark.parametrize("theta_steps, phi_steps", [(37, 1000), (3, 16389)])
 @pytest.mark.parametrize("label", ["HHH", "FMX", "XXH"])
 def test_grid_groups_are_bitwise_the_expanded_cells(label, theta_steps, phi_steps):
     # Coins taken from the axes add no drift: every cell equals, exactly, the
