@@ -11,12 +11,10 @@ from .entanglement import MAX_SCHMIDT_NORM, eigenvalues_from, schmidt_norm_from
 from .experiments import (
     AverageTrajectory,
     FitResult,
-    GridResult,
     ParrondoReport,
     average_schmidt,
     coin_densities,
     compare_table,
-    grid_schmidt,
     log_fit,
     parrondo_check,
     phase_independence_certificate,
@@ -33,7 +31,6 @@ __all__ = [
     "AverageTrajectory",
     "CoinSequence",
     "FitResult",
-    "GridResult",
     "ParrondoReport",
     "average_schmidt",
     "basis_walk",
@@ -41,7 +38,6 @@ __all__ = [
     "compare_table",
     "eigenvalues_from",
     "enumerate_patterns",
-    "grid_schmidt",
     "log_fit",
     "named_coin",
     "parrondo_check",

@@ -243,7 +243,7 @@ def _cmd_grid(args) -> None:
         {"theta": np.repeat(thetas[rows], len(phis)),
          "phi": np.tile(phis, len(thetas[rows])),
          "S": values.ravel()}
-        for rows, values in _grid_groups(sequence, args.t, theta_axis, phi_axis)
+        for _, rows, values in _grid_groups(sequence, [args.t], theta_axis, phi_axis)
     ))
 
 

@@ -3,11 +3,14 @@
 Every quantity runs on the coin-channel engine: the walker state is linear
 in the initial coin vector, so one ``walk.basis_walk`` gives, at each
 recorded step, the reduced coin density of every initial state
-(``coin_densities``).  Each sample's populations, coherence and Schmidt norm
-are then elementwise arithmetic on its own angles, bitwise independent of the
-rest of the batch.  Initial states travel as ``(N, 2)`` arrays of
-``(theta, phi)``.  Randomness enters only through ``sample_initial_states``,
-which draws every angle up front from a single seeded generator.
+(``_channel_reduction``).  Three paths read it: ``coin_densities`` for given
+``(N, 2)`` arrays of ``(theta, phi)``, ``_sampled_sweep`` for seeded samples,
+and ``_grid_groups`` for the regular grid of ``grid`` and
+``phase_independence_certificate``.  Each state's populations, coherence and
+Schmidt norm are elementwise arithmetic on its own angles, bitwise
+independent of the rest of the batch.  Randomness enters only through
+``sample_initial_states``, which draws every angle up front from a single
+seeded generator.
 
 Fairness rule for comparisons: a shared (seed-determined) initial-state set
 is evolved under every candidate sequence, never re-sampled per candidate.
@@ -34,14 +37,12 @@ from .walk import basis_walk
 __all__ = [
     "AverageTrajectory",
     "FitResult",
-    "GridResult",
     "ComparisonRow",
     "ParrondoReport",
     "sample_initial_states",
     "coin_densities",
     "average_schmidt",
     "log_fit",
-    "grid_schmidt",
     "parrondo_check",
     "phase_independence_certificate",
     "compare_table",
@@ -86,15 +87,6 @@ class FitResult:
             (t, float(np.clip(s, 1.0, MAX_SCHMIDT_NORM)) / MAX_SCHMIDT_NORM)
             for t, s in self.extrapolation
         ]
-
-
-@dataclass
-class GridResult:
-    """Schmidt norm over a regular (theta, phi) grid at a fixed step."""
-
-    theta_axis: NDArray[np.float64]
-    phi_axis: NDArray[np.float64]
-    values: NDArray[np.float64]  # shape (len(theta_axis), len(phi_axis))
 
 
 @dataclass(frozen=True)
@@ -359,46 +351,20 @@ def _grid_axes(theta_steps: int, phi_steps: int) -> tuple[NDArray, NDArray]:
     return theta_axis, np.linspace(0.0, TWO_PI, phi_steps, endpoint=False)
 
 
-def _grid_angles(theta_steps: int, phi_steps: int) -> tuple[NDArray, NDArray, NDArray]:
-    """Both grid axes and the (theta_steps * phi_steps, 2) array of cells, theta-major."""
-    theta_axis, phi_axis = _grid_axes(theta_steps, phi_steps)
-    angles = np.stack(np.meshgrid(theta_axis, phi_axis, indexing="ij", copy=False), axis=-1)
-    return theta_axis, phi_axis, angles.reshape(-1, 2)
+def _grid_groups(sequence: CoinSequence, recorded: Sequence[int], theta_axis: NDArray, phi_axis: NDArray):
+    """Yield ``(column, rows, values)``: at ``recorded[column]``, a slice of theta rows and their S.
 
-
-def _grid_groups(sequence: CoinSequence, t: int, theta_axis: NDArray, phi_axis: NDArray):
-    """Yield ``(rows, values)``: a slice of theta rows of about ``BLOCK_ROWS`` cells and their S.
-
-    The walk runs once, at the first group.  Each group's coins come from the
-    two axes, so no ``(theta, phi)`` cell array is built; ``values`` has shape
-    ``(rows, len(phi_axis))``.
+    The walk runs once.  At each of the strictly increasing ``recorded`` steps
+    the theta rows come in groups of about ``BLOCK_ROWS`` cells, coins from the
+    two axes, so no ``(theta, phi)`` cell array is built and memory does not
+    grow with the grid; ``values`` has shape ``(rows, len(phi_axis))``.
     """
-    ((r0, r1),) = _coin_channel([sequence], t, _record_steps(t, [t]))
     size = max(1, BLOCK_ROWS // len(phi_axis))
-    for start in range(0, len(theta_axis), size):
-        rows = slice(start, start + size)
-        coins = _initial_coins(theta_axis[rows, None], phi_axis)
-        yield rows, schmidt_norm_from(*_channel_reduction(r0[0], r1[0], *coins))
-
-
-def grid_schmidt(
-    sequence: CoinSequence,
-    t: int,
-    theta_steps: int,
-    phi_steps: int,
-) -> GridResult:
-    """Schmidt norm at step ``t`` on a regular (theta, phi) grid; deterministic.
-
-    ``values`` is filled from ``_grid_groups``, one group of theta rows of
-    about ``BLOCK_ROWS`` cells at a time, bitwise as ``coin_densities`` gives
-    each cell.  The ``grid`` command writes the same groups without holding
-    ``values``.
-    """
-    theta_axis, phi_axis = _grid_axes(theta_steps, phi_steps)
-    values = np.empty((theta_steps, phi_steps))
-    for rows, group in _grid_groups(sequence, t, theta_axis, phi_axis):
-        values[rows] = group
-    return GridResult(theta_axis=theta_axis, phi_axis=phi_axis, values=values)
+    for column, (r0, r1) in enumerate(_coin_channel([sequence], recorded[-1], recorded)):
+        for start in range(0, len(theta_axis), size):
+            rows = slice(start, start + size)
+            coins = _initial_coins(theta_axis[rows, None], phi_axis)
+            yield column, rows, schmidt_norm_from(*_channel_reduction(r0[0], r1[0], *coins))
 
 
 def phase_independence_certificate(
@@ -410,14 +376,15 @@ def phase_independence_certificate(
     """Per-step max deviation of S across phi, ``dev[t-1] = max |S(t,theta,phi) - S(t,theta,phi0)|``.
 
     A sequence counts as phase-independent up to ``t_max`` when every entry is
-    below the working tolerance (1e-10 throughout this package).
+    below the working tolerance (1e-10 throughout this package).  The grid
+    streams from ``_grid_groups``, so memory does not grow with it.
     """
-    _, _, angles = _grid_angles(theta_samples, phi_samples)
-    deviations = []
-    for densities in coin_densities(angles, sequence, t_max):
-        grid = schmidt_norm_from(*densities).reshape(theta_samples, phi_samples)
-        deviations.append(np.max(np.abs(grid - grid[:, :1])))
-    return np.array(deviations)
+    theta_axis, phi_axis = _grid_axes(theta_samples, phi_samples)
+    recorded = _record_steps(t_max, None)
+    deviations = np.zeros(t_max)
+    for column, _, grid in _grid_groups(sequence, recorded, theta_axis, phi_axis):
+        deviations[column] = np.maximum(deviations[column], np.max(np.abs(grid - grid[:, :1])))
+    return deviations
 
 
 def parrondo_check(

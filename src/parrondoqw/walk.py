@@ -22,7 +22,7 @@ walks only the two basis coins ``|0_c>`` and ``|1_c>``; the walk from any
 initial state is ``c[0]`` times the first plus ``c[1]`` times the second.
 It is the package's one evolution: every sweep and ``trace`` read it, and
 the dense oracle in ``parrondoqw.oracles`` is checked against it.  Initial
-states enter only as the ``(theta, phi)`` rows of ``experiments.coin_densities``.
+states enter only as coin amplitudes in ``experiments._channel_reduction``.
 
 ``basis_walk`` walks several coin sequences at once, on a leading candidate
 axis; candidates never mix, so each one's planes are those it gets alone.

@@ -13,7 +13,7 @@ import numpy as np
 from parrondoqw.cli import main
 from parrondoqw.entanglement import schmidt_norm_from
 from parrondoqw.experiments import (
-    _grid_angles,
+    _grid_axes,
     average_schmidt,
     coin_densities,
     log_fit,
@@ -54,7 +54,8 @@ def test_criterion_1_maximal_entanglement_at_steps_3_and_5():
 
 def test_criterion_2_closed_form_oracle_suite():
     start = time.perf_counter()
-    _, _, angles = _grid_angles(GRID_THETA, GRID_PHI)
+    theta_axis, phi_axis = _grid_axes(GRID_THETA, GRID_PHI)
+    angles = np.stack(np.meshgrid(theta_axis, phi_axis, indexing="ij"), axis=-1).reshape(-1, 2)
     states = [InitialState(theta, phi) for theta, phi in angles]
     worst = 0.0
     xxh = _stacked_schmidt(angles, parse("XXH"), 6)
@@ -92,7 +93,7 @@ def _phase_shift_deviations(roll_f: int, roll_m: int, phase_sign: int) -> float:
     On the 72-point phi axis one grid cell is 5 degrees, so a +pi/2 argument
     shift is a roll of -18 cells and a -pi/2 shift a roll of +18.
     """
-    theta_axis, phi_axis, _ = _grid_angles(GRID_THETA, GRID_PHI)
+    theta_axis, phi_axis = _grid_axes(GRID_THETA, GRID_PHI)
     states = np.array([
         (initial.theta, initial.phi)
         for initial in (InitialState(theta, phase_sign * phi) for theta in theta_axis for phi in phi_axis)

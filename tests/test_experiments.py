@@ -7,13 +7,13 @@ import pytest
 from parrondoqw import experiments
 from parrondoqw.experiments import (
     WALK_BLOCK_BYTES,
-    _grid_angles,
+    _grid_axes,
+    _grid_groups,
     _sampled_sweep,
     AverageTrajectory,
     average_schmidt,
     coin_densities,
     compare_table,
-    grid_schmidt,
     log_fit,
     parrondo_check,
     phase_independence_certificate,
@@ -253,43 +253,57 @@ def test_log_fit_multiple_targets_and_clipping():
 
 
 # ---------------------------------------------------------------------------
-# grid_schmidt / phase independence
+# grid groups / phase independence
 # ---------------------------------------------------------------------------
 
 
+def _grid(label, t, theta_steps, phi_steps):
+    """Both axes and the (theta_steps, phi_steps) S values at step t, from the grid groups."""
+    theta_axis, phi_axis = _grid_axes(theta_steps, phi_steps)
+    values = np.full((theta_steps, phi_steps), np.nan)
+    for column, rows, group in _grid_groups(parse(label), [t], theta_axis, phi_axis):
+        assert column == 0
+        values[rows] = group
+    return theta_axis, phi_axis, values
+
+
+def _expanded_cells(theta_steps, phi_steps):
+    """The (theta_steps * phi_steps, 2) array of grid cells, theta-major."""
+    theta_axis, phi_axis = _grid_axes(theta_steps, phi_steps)
+    return np.stack(np.meshgrid(theta_axis, phi_axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
 def test_grid_axes_and_shape():
-    grid = grid_schmidt(parse("XXH"), t=4, theta_steps=5, phi_steps=8)
-    assert grid.values.shape == (5, 8)
-    assert grid.theta_axis[0] == 0.0 and grid.theta_axis[-1] == pytest.approx(math.pi)
-    assert grid.phi_axis[0] == 0.0 and grid.phi_axis[-1] < 2 * math.pi
+    theta_axis, phi_axis, values = _grid("XXH", 4, 5, 8)
+    assert values.shape == (5, 8) and np.all(np.isfinite(values))
+    assert theta_axis[0] == 0.0 and theta_axis[-1] == pytest.approx(math.pi)
+    assert phi_axis[0] == 0.0 and phi_axis[-1] < 2 * math.pi
 
 
 def test_grid_requires_two_samples_per_axis():
     with pytest.raises(ValueError):
-        grid_schmidt(parse("XXH"), t=4, theta_steps=1, phi_steps=8)
+        _grid("XXH", 4, 1, 8)
 
 
 def test_xxh_grid_rows_are_phi_constant():
-    grid = grid_schmidt(parse("XXH"), t=10, theta_steps=9, phi_steps=12)
-    spread = np.max(grid.values, axis=1) - np.min(grid.values, axis=1)
+    _, _, values = _grid("XXH", 10, 9, 12)
+    spread = np.max(values, axis=1) - np.min(values, axis=1)
     assert np.max(spread) < 1e-10
 
 
 def test_pole_rows_are_phi_constant_for_any_sequence():
     # phi is physically irrelevant when theta is 0 or pi
-    grid = grid_schmidt(parse("HHH"), t=6, theta_steps=5, phi_steps=10)
+    _, _, values = _grid("HHH", 6, 5, 10)
     for row in (0, -1):
-        assert np.max(grid.values[row]) - np.min(grid.values[row]) < 1e-12
+        assert np.max(values[row]) - np.min(values[row]) < 1e-12
 
 
 def test_fourier_grid_is_phase_shifted_hadamard_grid():
     # S_FFF(theta, phi) = S_HHH(theta, phi + pi/2): the F coin acts as a
     # phase-shifted H.  On a 12-point phi axis, +pi/2 is a roll of 3 cells.
-    grid_h = grid_schmidt(parse("HHH"), t=5, theta_steps=7, phi_steps=12)
-    grid_f = grid_schmidt(parse("FFF"), t=5, theta_steps=7, phi_steps=12)
-    np.testing.assert_allclose(
-        grid_f.values, np.roll(grid_h.values, -3, axis=1), atol=1e-10
-    )
+    _, _, grid_h = _grid("HHH", 5, 7, 12)
+    _, _, grid_f = _grid("FFF", 5, 7, 12)
+    np.testing.assert_allclose(grid_f, np.roll(grid_h, -3, axis=1), atol=1e-10)
 
 
 # (37, 1000): 4-row groups, the last one partial.  (3, 16389): more phi
@@ -300,30 +314,56 @@ def test_grid_groups_are_bitwise_the_expanded_cells(label, theta_steps, phi_step
     # Coins taken from the axes add no drift: every cell equals, exactly, the
     # value coin_densities gives it among the expanded (theta, phi) cells.
     t = 7
-    _, _, cells = _grid_angles(theta_steps, phi_steps)
+    cells = _expanded_cells(theta_steps, phi_steps)
     expected = schmidt_norm_from(*next(coin_densities(cells, parse(label), t, [t])))
-    grid = grid_schmidt(parse(label), t, theta_steps, phi_steps)
-    assert np.all(grid.values.ravel() == expected)
+    _, _, values = _grid(label, t, theta_steps, phi_steps)
+    assert np.all(values.ravel() == expected)
 
 
-def test_grid_memory_is_the_values_and_one_group():
-    # One (N, 2) angles array or one N-sized complex temporary would already
-    # take 4 MiB on this grid.
+def test_certificate_memory_does_not_grow_with_the_grid():
+    # One (N, 2) angles array of this 361 x 720 grid alone would take 4 MiB;
+    # the certificate holds one group of theta rows at a time.
     tracemalloc.start()
     try:
-        grid = grid_schmidt(parse("HHH"), 8, 361, 720)
+        phase_independence_certificate(parse("HHH"), 3, 361, 720)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * grid.values.nbytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# (37, 1000): 4-row groups.  (3, 5000): one theta row per group.
+@pytest.mark.parametrize("theta_steps, phi_steps", [(37, 1000), (3, 5000)])
+@pytest.mark.parametrize("label", ["HHH", "XXH"])
+def test_certificate_over_many_groups_is_bitwise_the_expanded_cells(label, theta_steps, phi_steps):
+    t_max = 5
+    cells = _expanded_cells(theta_steps, phi_steps)
+    expected = [
+        np.max(np.abs(grid - grid[:, :1]))
+        for grid in (schmidt_norm_from(*d).reshape(theta_steps, phi_steps)
+                     for d in coin_densities(cells, parse(label), t_max))
+    ]
+    deviations = phase_independence_certificate(parse(label), t_max, theta_steps, phi_steps)
+    assert np.array_equal(deviations, expected)
+
+
+@pytest.mark.parametrize("t_max", [0, -1])
+def test_certificate_rejects_steps_below_one(t_max):
+    with pytest.raises(ValueError, match=f"steps must be >= 1, got {t_max}"):
+        phase_independence_certificate(parse("HHH"), t_max)
+
+
+@pytest.mark.parametrize("t_max", [3, 0, -1])
+def test_certificate_checks_the_grid_axes_first(t_max):
+    with pytest.raises(ValueError, match="grid axes need >= 2 samples, got theta_steps=1"):
+        phase_independence_certificate(parse("HHH"), t_max, theta_samples=1)
 
 
 def test_hxx_is_maximal_on_the_whole_grid_at_steps_4_and_5_only():
     # The abstract's "maximally entangled states in some cases", for HXX: on
     # the 37 x 72 (theta, phi) grid every initial state reaches S = sqrt(2)
     # at t = 4 and 5, and at t = 3 and 6 some do not.
-    worst = {t: np.max(np.abs(grid_schmidt(parse("HXX"), t, 37, 72).values - SQRT2))
-             for t in (3, 4, 5, 6)}
+    worst = {t: np.max(np.abs(_grid("HXX", t, 37, 72)[2] - SQRT2)) for t in (3, 4, 5, 6)}
     assert worst[4] < 1e-12 and worst[5] < 1e-12
     assert worst[3] > 0.4 and worst[6] > 0.04
 

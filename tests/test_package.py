@@ -10,7 +10,6 @@ PUBLIC = [
     "AverageTrajectory",
     "CoinSequence",
     "FitResult",
-    "GridResult",
     "MAX_SCHMIDT_NORM",
     "ParrondoReport",
     "__version__",
@@ -20,7 +19,6 @@ PUBLIC = [
     "compare_table",
     "eigenvalues_from",
     "enumerate_patterns",
-    "grid_schmidt",
     "log_fit",
     "named_coin",
     "parrondo_check",
