@@ -298,7 +298,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.run(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0

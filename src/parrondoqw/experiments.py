@@ -23,6 +23,7 @@ block and recorded step, then reduces each candidate on its own, in blocks of
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -50,8 +51,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-#: Bytes of basis-walk state (two ``(2, 2*steps+1)`` complex planes per
-#: candidate) that ``_sampled_sweep`` walks at once.  The mix, shift and
+#: Bytes of basis-walk state (a ``(2, 2, 2*steps+1)`` complex array per
+#: candidate) that ``_sampled_sweep`` walks at once.  The step and the
 #: stacked QR hold a few times as much; larger blocks raise peak RSS for
 #: little gain in speed.
 WALK_BLOCK_BYTES = 2**16
@@ -164,23 +165,23 @@ def _angle_arrays(states) -> tuple[NDArray, NDArray]:
 def _coin_channel(sequences: Sequence[CoinSequence], steps: int, record_steps: Iterable[int]):
     """Yield ``(R0, R1)`` stacks at each recorded step, the walks of every candidate and coin ``c``.
 
-    One ``basis_walk`` (an (n, 2, positions) stack) gives, for candidate m,
-    ``amp0 = A0 c`` and ``amp1 = A1 c``, column k of A0 / A1 being basis coin
-    k's coin-0 / coin-1 plane.  With the QR factorization
+    One ``basis_walk`` (``psi[m, coin, basis, position]``) gives, for
+    candidate m, coin planes ``A0 c`` and ``A1 c``, column k of A0 / A1 being
+    ``psi[m, 0, k]`` / ``psi[m, 1, k]``.  With the QR factorization
     ``[A0 A1] = Q [R0 R1]`` the populations and coherence of ``c`` are those
     of the at most six amplitudes ``R0 c``, ``R1 c``: the Gram matrices
     ``c^dag A0^dag A0 c`` etc. in square-root form, so a population that is
     tiny through cancellation keeps its relative accuracy.  Each recorded
-    step runs one stacked QR of the ``(n, positions, 4)`` matrices, and
-    ``R0[m]`` / ``R1[m]`` are candidate m's factors.  ``record_steps`` is
-    strictly increasing and read one step at a time, so a ``range`` of every
-    step is never held in memory.
+    step runs one stacked QR of the ``(n, positions, 4)`` matrices, a view
+    of ``psi`` whose columns are ``[A0 A1]``, and ``R0[m]`` / ``R1[m]`` are
+    candidate m's factors.  ``record_steps`` is strictly increasing and read
+    one step at a time, so a ``range`` of every step is never held in memory.
     """
     pending = iter(record_steps)
     next_step = next(pending, None)
-    for t, (amp0, amp1) in enumerate(basis_walk(sequences, steps), start=1):
+    for t, psi in enumerate(basis_walk(sequences, steps), start=1):
         if t == next_step:
-            r = np.linalg.qr(np.concatenate((amp0, amp1), axis=1).transpose(0, 2, 1), mode="r")
+            r = np.linalg.qr(psi.reshape(len(psi), 4, -1).transpose(0, 2, 1), mode="r")
             yield r[:, :2, :2], r[:, :, 2:]
             next_step = next(pending, None)
 
@@ -300,8 +301,9 @@ def log_fit(
 ) -> FitResult:
     """Least-squares fit of ``mean S ~ a*ln(t) + b`` over points with t >= t_min.
 
-    Points are unweighted.  ``extrapolate_to`` is one step value or an
-    iterable of them; the fitted curve is evaluated there.
+    Points are unweighted.  ``extrapolate_to`` is one step value (any 0-d
+    integer, numpy's included) or an iterable of them; the fitted curve is
+    evaluated there.
 
     Raises
     ------
@@ -310,7 +312,10 @@ def log_fit(
         extrapolation target is below 1, or a fitted value is not finite
         (``mean_S`` near the float range overflows the fit).
     """
-    targets = [extrapolate_to] if isinstance(extrapolate_to, int) else list(extrapolate_to)
+    try:
+        targets = [operator.index(extrapolate_to)]
+    except TypeError:
+        targets = list(extrapolate_to)
     if any(tt < 1 for tt in targets):
         raise ValueError(f"extrapolation targets must be >= 1, got {targets}")
     t = np.asarray(trajectory.steps, dtype=np.float64)

@@ -204,8 +204,10 @@ def dense_reference_evolve(
     indistinguishable here because support never reaches the window edge.
 
     Intended as a test oracle for ``walk.basis_walk``: with ``c`` the initial
-    coin amplitudes, ``vec[0::2]`` / ``vec[1::2]`` must agree componentwise
-    with ``c[0] * amp0[0] + c[1] * amp0[1]`` / the same for ``amp1``, to 1e-12.
+    coin amplitudes and ``psi[0]`` the basis walk's last array for this one
+    sequence, ``vec[0::2]`` / ``vec[1::2]`` must agree componentwise with
+    ``c[0] * psi[0, 0, 0] + c[1] * psi[0, 0, 1]`` / the same for coin 1
+    (``psi[0, 1]``), to 1e-12.
 
     Raises
     ------

@@ -636,10 +636,17 @@ def test_grid_output_memory_does_not_grow_with_the_grid():
     ["compare", "--seqs", "H,X", "--t-list", "10000000000000"],
     ["search", "--max-period", "2", "--t", "10000000000000", "--samples", "1"],
     ["parrondo", "--ab", "XXH", "--a", "X", "--b", "H", "--t", "10000000000000", "--samples", "1"],
-], ids=["grid", "average", "trace", "compare", "search", "parrondo"])
+    # 2**63 steps: a range of every step is longer than a C ssize_t.
+    ["average", "--seq", "H", "--steps", str(2**63), "--samples", "1"],
+    ["trace", "--seq", "H", "--theta", "1", "--steps", str(2**63)],
+    ["compare", "--seqs", "H,X", "--t-list", str(2**63)],
+    ["grid", "--seq", "H", "--t", str(2**63), "--theta-steps", "2", "--phi-steps", "2"],
+], ids=["grid", "average", "trace", "compare", "search", "parrondo",
+        "average-2^63", "trace-2^63", "compare-2^63", "grid-2^63"])
 def test_oversized_walk_is_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert run(*argv, "--out", out) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not out.exists()

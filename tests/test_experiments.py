@@ -252,6 +252,17 @@ def test_log_fit_multiple_targets_and_clipping():
     assert ratios[10**6] == pytest.approx(1.0)  # clipped at sqrt(2)/sqrt(2)
 
 
+def test_log_fit_takes_a_numpy_integer_as_one_target():
+    trajectory = _synthetic(0.1, 1.2)
+    expected = log_fit(trajectory, t_min=1, extrapolate_to=400)
+    for target in (np.int64(400), np.int32(400), np.array(400)):
+        assert log_fit(trajectory, t_min=1, extrapolate_to=target) == expected
+    last = trajectory.steps[-1]
+    assert log_fit(trajectory, t_min=1, extrapolate_to=last) == log_fit(trajectory, t_min=1, extrapolate_to=int(last))
+    with pytest.raises(ValueError, match="extrapolation targets must be >= 1"):
+        log_fit(trajectory, t_min=1, extrapolate_to=np.int64(0))
+
+
 # ---------------------------------------------------------------------------
 # grid groups / phase independence
 # ---------------------------------------------------------------------------

@@ -28,6 +28,19 @@ PUBLIC = [
     "schmidt_norm_from",
 ]
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_library_block():
+    """The Python code block of README's Library section."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_block_runs(capsys):
+    exec(compile(_readme_library_block(), str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "(1, 2, 2, 13)"
+
 
 def test_every_public_name_resolves():
     assert len(set(parrondoqw.__all__)) == len(parrondoqw.__all__)

@@ -10,7 +10,7 @@ from parrondoqw.entanglement import schmidt_norm_from
 from parrondoqw.experiments import coin_densities
 from parrondoqw.oracles import InitialState, dense_reference_evolve
 from parrondoqw.sequences import parse
-from parrondoqw.walk import basis_walk, mix_coin, shift_flip
+from parrondoqw.walk import basis_walk
 
 SQRT2 = math.sqrt(2.0)
 
@@ -20,10 +20,10 @@ pattern_st = st.lists(st.sampled_from("HFMX"), min_size=1, max_size=4)
 
 
 def _planes(initial, sequence, steps):
-    """(amp0, amp1) of the walk from ``initial`` after ``steps`` steps, from the basis walk."""
-    *_, (amp0, amp1) = basis_walk([sequence], steps)
+    """The coin-0 and coin-1 planes of the walk from ``initial`` after ``steps`` steps, from the basis walk."""
+    *_, (psi,) = basis_walk([sequence], steps)
     c0, c1 = initial.coin_amplitudes()
-    return c0 * amp0[0, 0] + c1 * amp0[0, 1], c0 * amp1[0, 0] + c1 * amp1[0, 1]
+    return c0 * psi[:, 0] + c1 * psi[:, 1]
 
 
 def _vector(initial, sequence, steps):
@@ -33,12 +33,6 @@ def _vector(initial, sequence, steps):
     vec[0::2] = amp0
     vec[1::2] = amp1
     return vec
-
-
-def _empty_planes(size):
-    """Two empty coin planes of ``size`` cells."""
-    amp = np.zeros(size, dtype=complex)
-    return amp, amp.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -95,56 +89,25 @@ def test_prepare_rejects_bad_step_budget():
 
 
 # ---------------------------------------------------------------------------
-# mix_coin / shift_flip / one basis-walk step
+# One basis-walk step: psi[m, coin, basis, position], window -1..1
 # ---------------------------------------------------------------------------
 
 
-def test_apply_coin_flip():
-    amp0, amp1 = _empty_planes(5)
-    amp0[2] = 1.0
-    flip0, flip1 = mix_coin(amp0, amp1, named_coin("X"))
-    assert flip1[2] == 1.0
-    assert flip0[2] == 0.0
-
-
-def test_apply_coin_hadamard_column():
-    amp0, amp1 = _empty_planes(5)
-    amp0[2] = 1.0
-    mixed0, mixed1 = mix_coin(amp0, amp1, named_coin("H"))
-    assert mixed0[2] == pytest.approx(1 / SQRT2)
-    assert mixed1[2] == pytest.approx(1 / SQRT2)
-
-
-def test_apply_coin_identity_is_noop():
-    rng = np.random.default_rng(4)
-    amp0 = rng.normal(size=5) + 1j * rng.normal(size=5)
-    amp1 = rng.normal(size=5) + 1j * rng.normal(size=5)
-    same0, same1 = mix_coin(amp0, amp1, np.eye(2, dtype=complex))
-    np.testing.assert_array_equal(same0, amp0)
-    np.testing.assert_array_equal(same1, amp1)
-
-
-def test_shift_moves_coin1_right_as_coin0():
-    amp0, amp1 = _empty_planes(5)
-    amp1[2] = 1.0
-    shifted0, shifted1 = shift_flip(amp0, amp1)
-    assert shifted0[3] == 1.0
-    assert not shifted1.any()
-
-
-def test_shift_moves_coin0_left_as_coin1():
-    amp0, amp1 = _empty_planes(5)
-    amp0[2] = 1.0
-    shifted0, shifted1 = shift_flip(amp0, amp1)
-    assert shifted1[1] == 1.0
-    assert not shifted0.any()
+def test_one_h_step_sends_basis_coin0_both_ways():
+    # H|0> = (|0> + |1>)/sqrt2: the coin-1 half moves right as coin 0, the
+    # coin-0 half moves left as coin 1, and nothing stays at the origin.
+    (psi,), = basis_walk([parse("H")], 1)
+    half = named_coin("H")[0, 0]
+    assert half == pytest.approx(1 / SQRT2)
+    np.testing.assert_array_equal(psi[:, 0], [[0, 0, half], [half, 0, 0]])
 
 
 def test_full_x_step_streams_coin0_right():
-    (amp0, amp1), = basis_walk([parse("X")], 1)
-    # window -1..1: basis coin |0> moves to +1 as coin 0, |1> to -1 as coin 1
-    np.testing.assert_array_equal(amp0, [[[0, 0, 1], [0, 0, 0]]])
-    np.testing.assert_array_equal(amp1, [[[0, 0, 0], [1, 0, 0]]])
+    # X flips the coin whole and the shift flips it back, with no mixing:
+    # basis coin |0> moves to +1 as coin 0, |1> to -1 as coin 1.
+    (psi,), = basis_walk([parse("X")], 1)
+    np.testing.assert_array_equal(psi[0], [[0, 0, 1], [0, 0, 0]])
+    np.testing.assert_array_equal(psi[1], [[0, 0, 0], [1, 0, 0]])
 
 
 def test_hadamard_step_from_pole_is_maximally_entangling():
@@ -186,26 +149,33 @@ def test_three_xxh_steps_occupy_four_positions():
 
 
 def test_one_hadamard_step_is_normalized():
-    (amp0, amp1), = basis_walk([parse("H")], 1)
-    np.testing.assert_allclose(np.sum(np.abs(amp0) ** 2 + np.abs(amp1) ** 2, axis=-1), 1.0,
+    (psi,), = basis_walk([parse("H")], 1)
+    np.testing.assert_allclose(np.sum(np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2, axis=-1), 1.0,
                                rtol=0, atol=1e-15)
 
 
 def test_evolve_yields_every_step():
     planes = list(basis_walk([parse("XH")], 7))
     assert len(planes) == 7
-    assert all(amp0.shape == amp1.shape == (1, 2, 15) for amp0, amp1 in planes)
+    assert all(psi.shape == (1, 2, 2, 15) for psi in planes)
 
 
 def test_batched_walk_matches_each_sequence_alone():
     # Mixed periods, one longer than the walk: each candidate's planes are
-    # bitwise those of its own walk.
-    sequences = [parse(label) for label in ("X", "HXMFMXHHF", "XXH", "FM")]
-    batched = list(basis_walk(sequences, 7))
-    for m, sequence in enumerate(sequences):
-        for (amp0, amp1), ((alone0,), (alone1,)) in zip(batched, basis_walk([sequence], 7)):
-            np.testing.assert_array_equal(amp0[m], alone0)
-            np.testing.assert_array_equal(amp1[m], alone1)
+    # bitwise those of its own walk.  The second batch's coin planes are
+    # 8 x 2 x 1041 cells = 266,496 B, at or above numpy's 256 KiB threshold
+    # for computing into a temporary in place, while each walk alone stays
+    # below it, so a value must not depend on the size of its batch.
+    batches = (
+        (("X", "HXMFMXHHF", "XXH", "FM"), 7),
+        (("X", "HXMFMXHHF", "XXH", "FM", "H", "MMF", "HFX", "XXXH"), 520),
+    )
+    for labels, steps in batches:
+        sequences = [parse(label) for label in labels]
+        alone = [basis_walk([sequence], steps) for sequence in sequences]
+        for psi, *singles in zip(basis_walk(sequences, steps), *alone):
+            for m, (single,) in enumerate(singles):
+                np.testing.assert_array_equal(psi[m], single)
 
 
 def test_basis_walk_needs_a_sequence():
@@ -230,7 +200,7 @@ def test_evolve_rejects_nonpositive_steps():
 def test_norm_conserved_along_any_walk(pattern):
     # A0^dag A0 + A1^dag A1 = P0 + P1 = I: the walk is an isometry on the
     # initial coin, so every initial state stays normalized.
-    for (amp0,), (amp1,) in basis_walk([parse("".join(pattern))], 12):
+    for ((amp0, amp1),) in basis_walk([parse("".join(pattern))], 12):
         gram = amp0.conj() @ amp0.T + amp1.conj() @ amp1.T
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
@@ -240,7 +210,7 @@ def test_norm_conserved_along_any_walk(pattern):
 def test_support_confined_and_parity_respected(pattern):
     steps = 12
     positions = np.arange(-steps, steps + 1)
-    for t, ((amp0,), (amp1,)) in enumerate(basis_walk([parse("".join(pattern))], steps), start=1):
+    for t, ((amp0, amp1),) in enumerate(basis_walk([parse("".join(pattern))], steps), start=1):
         outside = (np.abs(positions) > t) | ((positions - t) % 2 != 0)
         assert not amp0[:, outside].any()
         assert not amp1[:, outside].any()
@@ -253,7 +223,7 @@ def test_basis_walk_edge_cells_stay_empty(pattern):
     # at the right edge) never hold amplitude, and before the last step
     # neither edge cell does, so no shift ever drops amplitude.
     steps = 12
-    for t, ((amp0,), (amp1,)) in enumerate(basis_walk([parse("".join(pattern))], steps), start=1):
+    for t, ((amp0, amp1),) in enumerate(basis_walk([parse("".join(pattern))], steps), start=1):
         assert not amp0[:, 0].any() and not amp1[:, -1].any()
         if t < steps:
             assert not amp0[:, [0, -1]].any() and not amp1[:, [0, -1]].any()
