@@ -93,6 +93,34 @@ def test_prepare_rejects_bad_step_budget():
 # ---------------------------------------------------------------------------
 
 
+def test_apply_coin_flip():
+    # After one step from basis |0>, +1 holds (coin|0>)[1] as coin 0 and -1
+    # holds (coin|0>)[0] as coin 1: X sends all of |0> to |1>.
+    (psi,), = basis_walk([parse("X")], 1)
+    assert psi[0, 0, 2] == 1.0
+    assert psi[1, 0, 0] == 0.0
+
+
+def test_apply_coin_hadamard_column():
+    (psi,), = basis_walk([parse("H")], 1)
+    assert psi[0, 0, 2] == pytest.approx(1 / SQRT2)
+    assert psi[1, 0, 0] == pytest.approx(1 / SQRT2)
+
+
+def test_shift_moves_coin1_right_as_coin0():
+    # X turns basis |0> into coin 1 at the origin; the shift moves it to +1 as coin 0.
+    (psi,), = basis_walk([parse("X")], 1)
+    assert psi[0, 0, 2] == 1.0
+    assert not psi[1, 0].any()
+
+
+def test_shift_moves_coin0_left_as_coin1():
+    # X turns basis |1> into coin 0 at the origin; the shift moves it to -1 as coin 1.
+    (psi,), = basis_walk([parse("X")], 1)
+    assert psi[1, 1, 0] == 1.0
+    assert not psi[0, 1].any()
+
+
 def test_one_h_step_sends_basis_coin0_both_ways():
     # H|0> = (|0> + |1>)/sqrt2: the coin-1 half moves right as coin 0, the
     # coin-0 half moves left as coin 1, and nothing stays at the origin.
