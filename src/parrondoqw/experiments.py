@@ -1,12 +1,12 @@
 """Experiment protocols: averaging sweeps, grids, fits, and sequence comparisons.
 
 Every quantity runs on the coin-channel engine: the walker state is linear
-in the initial coin vector, so one ``walk.basis_walk`` gives, at each
-recorded step, the reduced coin density of every initial state
-(``_channel_reduction``).  Three paths read it: ``coin_densities`` for given
-``(N, 2)`` arrays of ``(theta, phi)``, ``_sampled_sweep`` for seeded samples,
-and ``_grid_groups`` for the regular grid of ``grid`` and
-``phase_independence_certificate``.  Each state's populations, coherence and
+in the initial coin vector, so one ``walk.basis_walk`` and its QR factor R at
+each recorded step give the reduced coin density of every initial state
+(``_channel_reduction``).  Three paths read R, ``BLOCK_ROWS`` states at a
+time: ``coin_densities`` for given ``(N, 2)`` arrays of ``(theta, phi)``,
+``_sampled_sweep`` for seeded samples, and ``_grid_groups`` for the regular
+grid of ``grid`` and ``phase_independence_certificate``.  Each state's populations, coherence and
 Schmidt norm are elementwise arithmetic on its own angles, bitwise
 independent of the rest of the batch.  Randomness enters only through
 ``sample_initial_states``, which draws every angle up front from a single
@@ -16,8 +16,7 @@ Fairness rule for comparisons: a shared (seed-determined) initial-state set
 is evolved under every candidate sequence, never re-sampled per candidate.
 Every sampled mean comes from ``_sampled_sweep``, which walks the candidates
 together on the candidate axis of ``basis_walk``, with one stacked QR per
-block and recorded step, then reduces each candidate on its own, in blocks of
-``BLOCK_ROWS`` samples.
+block and recorded step, then reduces each candidate on its own.
 """
 
 from __future__ import annotations
@@ -50,12 +49,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-#: Bytes of basis-walk state (a ``(2, 2, 2*steps+1)`` complex array per
-#: candidate) that ``_sampled_sweep`` walks at once.  The step and the
-#: stacked QR hold a few times as much; larger blocks raise peak RSS for
-#: little gain in speed.
-WALK_BLOCK_BYTES = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +156,7 @@ def _angle_arrays(states) -> tuple[NDArray, NDArray]:
 
 
 def _coin_channel(sequences: Sequence[CoinSequence], steps: int, record_steps: Iterable[int]):
-    """Yield ``(R0, R1)`` stacks at each recorded step, the walks of every candidate and coin ``c``.
+    """Yield the stacked ``(n, 4, 4)`` QR factor R at each recorded step, for every candidate and coin ``c``.
 
     One ``basis_walk`` (``psi[m, coin, basis, position]``) gives, for
     candidate m, coin planes ``A0 c`` and ``A1 c``, column k of A0 / A1 being
@@ -173,33 +166,33 @@ def _coin_channel(sequences: Sequence[CoinSequence], steps: int, record_steps: I
     ``c^dag A0^dag A0 c`` etc. in square-root form, so a population that is
     tiny through cancellation keeps its relative accuracy.  Each recorded
     step runs one stacked QR of the ``(n, positions, 4)`` matrices, a view
-    of ``psi`` whose columns are ``[A0 A1]``, and ``R0[m]`` / ``R1[m]`` are
-    candidate m's factors.  ``record_steps`` is strictly increasing and read
-    one step at a time, so a ``range`` of every step is never held in memory.
+    of ``psi`` whose columns are ``[A0 A1]``, and ``r[m]`` is candidate m's R
+    (3 rows when ``steps`` is 1).  ``record_steps`` is strictly increasing and
+    read one step at a time, so a ``range`` of every step is never held.
     """
     pending = iter(record_steps)
     next_step = next(pending, None)
     for t, psi in enumerate(basis_walk(sequences, steps), start=1):
         if t == next_step:
-            r = np.linalg.qr(psi.reshape(len(psi), 4, -1).transpose(0, 2, 1), mode="r")
-            yield r[:, :2, :2], r[:, :, 2:]
+            yield np.linalg.qr(psi.reshape(len(psi), 4, -1).transpose(0, 2, 1), mode="r")
             next_step = next(pending, None)
 
 
-def _channel_reduction(r0, r1, coin0, coin1):
+def _channel_reduction(r, coin0, coin1):
     """pop0, pop1 and coherence of the amplitudes ``R0 c``, ``R1 c``, elementwise over samples.
 
-    Rows of ``R1`` below those of ``R0`` (where ``R0 c`` is zero) add to pop1 only.
+    Row k of one candidate's ``r`` gives component k of ``R1 c`` from its
+    columns 2-3, and for k < 2 that of ``R0 c`` from 0-1 (zero in the rows below).
     The product is ``np.multiply``, not ``*``: numpy computes ``a * temporary``
     in place for temporaries of 256 KiB and more, and rounds that complex
     product differently, so a value would depend on the size of its batch.
     """
     pop0 = pop1 = coherence = 0.0
-    for k, r in enumerate(r1):
-        amp1 = r[0] * coin0 + r[1] * coin1
+    for k, row in enumerate(r):
+        amp1 = row[2] * coin0 + row[3] * coin1
         pop1 = pop1 + (amp1.real**2 + amp1.imag**2)
-        if k < len(r0):
-            amp0 = r0[k, 0] * coin0 + r0[k, 1] * coin1
+        if k < 2:
+            amp0 = row[0] * coin0 + row[1] * coin1
             pop0 = pop0 + (amp0.real**2 + amp0.imag**2)
             coherence = coherence + np.multiply(amp0, np.conj(amp1))
     return pop0, pop1, coherence
@@ -235,39 +228,43 @@ def coin_densities(
     ``states`` is an (N, 2) array, or nested list, of (theta, phi) rows with
     theta in [0, pi]; each yielded array has shape (N,).  ``record_steps``
     defaults to every step 1..steps; otherwise it must be a strictly
-    increasing subset of that range.  Only one step's values are alive at a
-    time, so a consumer that reduces each step keeps O(N) memory.
+    increasing subset of that range.  A step's arrays fill ``BLOCK_ROWS``
+    states at a time, and only one step's values are alive at a time, so a
+    consumer that reduces each step keeps O(N) memory.
     """
     record_steps = _record_steps(steps, record_steps)
     coin0, coin1 = _initial_coins(*_angle_arrays(states))
-    for r0, r1 in _coin_channel([sequence], steps, record_steps):
-        yield _channel_reduction(r0[0], r1[0], coin0, coin1)
+    for (r,) in _coin_channel([sequence], steps, record_steps):
+        (pop0, pop1), coherence = np.empty((2, len(coin0))), np.empty_like(coin1)
+        for first in range(0, len(coin0), BLOCK_ROWS):
+            part = slice(first, first + BLOCK_ROWS)
+            pop0[part], pop1[part], coherence[part] = _channel_reduction(r, coin0[part], coin1[part])
+        yield pop0, pop1, coherence
 
 
 def _sampled_sweep(sequences: Sequence[CoinSequence], recorded: Sequence[int], samples: int, seed: int):
     """Mean and std (ddof=0) of S over one seeded sample set, each ``(len(sequences), len(recorded))``.
 
-    Candidates walk in blocks of at most ``WALK_BLOCK_BYTES`` of walk state.
-    Each candidate and recorded step is reduced on its own, ``BLOCK_ROWS``
+    Candidates walk ``BLOCK_ROWS`` complex values of walk state at a time, and
+    each candidate and recorded step is reduced on its own, ``BLOCK_ROWS``
     samples at a time, into one ``(samples,)`` buffer of S, whose mean and std
     are then taken whole.  So the reduction's temporaries stay in cache,
-    memory is O(samples + WALK_BLOCK_BYTES), and a candidate's values are
-    bitwise those it gets walking alone, at any block size.
+    memory is O(samples + BLOCK_ROWS), and a candidate's values are bitwise
+    those it gets walking alone, at any block size.
     """
     coin0, coin1 = _initial_coins(*sample_initial_states(samples, seed).T)
     steps = recorded[-1]
     mean_s, std_s = np.empty((2, len(sequences), len(recorded)))
     values = np.empty(samples)
-    # At least one candidate per block, however long its walk.
-    size = max(1, WALK_BLOCK_BYTES // (2 * 2 * (2 * steps + 1) * np.dtype(np.complex128).itemsize))
+    # 4 * (2*steps + 1) values per candidate; at least one, however long its walk.
+    size = max(1, BLOCK_ROWS // (4 * (2 * steps + 1)))
     for start in range(0, len(sequences), size):
         block = _coin_channel(sequences[start:start + size], steps, recorded)
-        for column, (r0, r1) in enumerate(block):
-            for m, (r0_m, r1_m) in enumerate(zip(r0, r1), start=start):
+        for column, r in enumerate(block):
+            for m, r_m in enumerate(r, start=start):
                 for first in range(0, samples, BLOCK_ROWS):
                     part = slice(first, first + BLOCK_ROWS)
-                    values[part] = schmidt_norm_from(
-                        *_channel_reduction(r0_m, r1_m, coin0[part], coin1[part]))
+                    values[part] = schmidt_norm_from(*_channel_reduction(r_m, coin0[part], coin1[part]))
                 mean_s[m, column], std_s[m, column] = values.mean(), values.std()
     return mean_s, std_s
 
@@ -348,12 +345,13 @@ def log_fit(
 
 def _grid_axes(theta_steps: int, phi_steps: int) -> tuple[NDArray, NDArray]:
     """Regular grid axes: theta in [0, pi] inclusive, phi in [0, 2pi) half-open."""
+    counts = f"theta_steps={theta_steps} phi_steps={phi_steps}"
     if theta_steps < 2 or phi_steps < 2:
-        raise ValueError(
-            f"grid axes need >= 2 samples, got theta_steps={theta_steps} phi_steps={phi_steps}"
-        )
-    theta_axis = np.linspace(0.0, math.pi, theta_steps)
-    return theta_axis, np.linspace(0.0, TWO_PI, phi_steps, endpoint=False)
+        raise ValueError(f"grid axes need >= 2 samples, got {counts}")
+    # Beyond the largest float64 array numpy sizes, np.linspace fails or returns no axis.
+    if max(theta_steps, phi_steps) > (most := np.iinfo(np.intp).max // 8):
+        raise ValueError(f"grid axes need <= {most} samples, got {counts}")
+    return np.linspace(0.0, math.pi, theta_steps), np.linspace(0.0, TWO_PI, phi_steps, endpoint=False)
 
 
 def _grid_groups(sequence: CoinSequence, recorded: Sequence[int], theta_axis: NDArray, phi_axis: NDArray):
@@ -365,11 +363,11 @@ def _grid_groups(sequence: CoinSequence, recorded: Sequence[int], theta_axis: ND
     grow with the grid; ``values`` has shape ``(rows, len(phi_axis))``.
     """
     size = max(1, BLOCK_ROWS // len(phi_axis))
-    for column, (r0, r1) in enumerate(_coin_channel([sequence], recorded[-1], recorded)):
+    for column, (r,) in enumerate(_coin_channel([sequence], recorded[-1], recorded)):
         for start in range(0, len(theta_axis), size):
             rows = slice(start, start + size)
             coins = _initial_coins(theta_axis[rows, None], phi_axis)
-            yield column, rows, schmidt_norm_from(*_channel_reduction(r0[0], r1[0], *coins))
+            yield column, rows, schmidt_norm_from(*_channel_reduction(r, *coins))
 
 
 def phase_independence_certificate(
@@ -423,7 +421,7 @@ def compare_table(
     Rows are ordered by step, then descending mean, ties broken by label.
     Rows are keyed by label and step: a repeated label is walked once and
     gives one set of rows, a repeated step repeats its rows.  Memory is
-    O(samples + WALK_BLOCK_BYTES), and a candidate's means are bitwise those
+    O(samples + BLOCK_ROWS), and a candidate's means are bitwise those
     it gets walking alone (``_sampled_sweep``).
     """
     if not candidates:

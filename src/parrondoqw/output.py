@@ -63,11 +63,12 @@ __all__ = [
     "read_average_csv",
 ]
 
-#: Rows formatted and written at a time, and samples or grid cells reduced at
-#: a time: the text of at most one block exists.  At 4096 rows a complex
-#: temporary is 64 KiB, below glibc's default 128 KiB mmap threshold, so a
-#: block's temporaries reuse heap pages and cache lines instead of being
-#: mapped and faulted in anew for every block.
+#: Rows formatted and written at a time, states or grid cells reduced at a
+#: time, and complex values of candidate walk state stepped at a time: the
+#: text of at most one block exists.  At 4096 rows a complex temporary is
+#: 64 KiB, below glibc's default 128 KiB mmap threshold, so a block's
+#: temporaries reuse heap pages and cache lines instead of being mapped and
+#: faulted in anew for every block.
 BLOCK_ROWS = 1 << 12
 
 

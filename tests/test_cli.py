@@ -6,10 +6,14 @@ import math
 import os
 import tracemalloc
 
+import argparse
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parrondoqw.cli import main
+from parrondoqw.cli import _int_at_least, _label_list, _positive_int_list, main
 from parrondoqw.output import write_json
 
 SQRT2 = math.sqrt(2.0)
@@ -641,8 +645,12 @@ def test_grid_output_memory_does_not_grow_with_the_grid():
     ["trace", "--seq", "H", "--theta", "1", "--steps", str(2**63)],
     ["compare", "--seqs", "H,X", "--t-list", str(2**63)],
     ["grid", "--seq", "H", "--t", str(2**63), "--theta-steps", "2", "--phi-steps", "2"],
+    # 2**63 samples on a grid axis: np.linspace cannot build that axis.
+    ["grid", "--seq", "HHH", "--t", "3", "--theta-steps", str(2**63)],
+    ["grid", "--seq", "HHH", "--t", "3", "--phi-steps", str(2**63)],
 ], ids=["grid", "average", "trace", "compare", "search", "parrondo",
-        "average-2^63", "trace-2^63", "compare-2^63", "grid-2^63"])
+        "average-2^63", "trace-2^63", "compare-2^63", "grid-2^63",
+        "grid-theta-steps-2^63", "grid-phi-steps-2^63"])
 def test_oversized_walk_is_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert run(*argv, "--out", out) == 1
@@ -650,3 +658,42 @@ def test_oversized_walk_is_one_error_line(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# argument types on arbitrary text
+# ---------------------------------------------------------------------------
+
+# Arbitrary text, and text of the characters a number list is made of.
+_ARGUMENT_TEXT = st.one_of(st.text(), st.text(alphabet="0123456789-+_ ,.e\u0661"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(minimum=st.integers(-3, 3), text=_ARGUMENT_TEXT)
+def test_int_at_least_returns_or_raises_argument_type_error(minimum, text):
+    try:
+        value = _int_at_least(minimum)(text)
+    except argparse.ArgumentTypeError:
+        return
+    assert isinstance(value, int) and value >= minimum
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_ARGUMENT_TEXT)
+def test_positive_int_list_returns_or_raises_argument_type_error(text):
+    try:
+        values = _positive_int_list(text)
+    except argparse.ArgumentTypeError:
+        return
+    assert values and all(isinstance(v, int) and v >= 1 for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_ARGUMENT_TEXT)
+def test_label_list_returns_or_raises_argument_type_error(text):
+    try:
+        labels = _label_list(text)
+    except argparse.ArgumentTypeError:
+        return
+    assert labels and all(label and label == label.strip() for label in labels)
+

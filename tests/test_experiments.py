@@ -6,7 +6,6 @@ import pytest
 
 from parrondoqw import experiments
 from parrondoqw.experiments import (
-    WALK_BLOCK_BYTES,
     _grid_axes,
     _grid_groups,
     _sampled_sweep,
@@ -195,11 +194,14 @@ def test_average_memory_is_bounded_by_samples(run):
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-@pytest.mark.parametrize("block_rows", [1000, 4096])
+@pytest.mark.parametrize("block_rows", [164, 492, 1000, 4096])
 def test_sampled_sweep_is_bitwise_the_same_at_every_sample_block_size(monkeypatch, block_rows):
     # 2,500 samples in blocks of 1000 leave a partial last block; 4096 is one
     # block.  Each sample's S is elementwise arithmetic and the mean and std
     # run over the whole buffer, so both equal a single whole block bitwise.
+    # BLOCK_ROWS also sizes candidate blocks: at 20 steps a candidate's walk
+    # state is 4 * 41 = 164 values, so 164 and 492 walk 1 and 3 of the 4
+    # candidates at a time, and the others all 4 together.
     sequences = [parse("MMF"), parse("XXH"), parse("HFX"), parse("H")]
     recorded = [1, 3, 7, 20]
     monkeypatch.setattr(experiments, "BLOCK_ROWS", 2500)
@@ -209,6 +211,39 @@ def test_sampled_sweep_is_bitwise_the_same_at_every_sample_block_size(monkeypatc
     assert mean_s.shape == std_s.shape == (4, 4)
     np.testing.assert_array_equal(mean_s, whole[0])
     np.testing.assert_array_equal(std_s, whole[1])
+
+
+def test_coin_densities_are_bitwise_the_same_at_every_block_size(monkeypatch):
+    # 2,500 states in blocks of 1000 leave a partial last block; each state's
+    # values are elementwise arithmetic on its own coin, so they equal those
+    # of a single whole block bitwise, the poles included.
+    states = sample_initial_states(2500, 4)
+    states[:4, 0] = [0.0, math.pi, 0.0, math.pi]
+    monkeypatch.setattr(experiments, "BLOCK_ROWS", 2500)
+    whole = list(coin_densities(states, parse("MMF"), 12))
+    monkeypatch.setattr(experiments, "BLOCK_ROWS", 1000)
+    blocked = list(coin_densities(states, parse("MMF"), 12))
+    assert len(blocked) == len(whole) == 12
+    for step, expected in zip(blocked, whole):
+        for values, reference in zip(step, expected):
+            assert values.shape == (2500,)
+            np.testing.assert_array_equal(values, reference)
+
+
+def test_coin_densities_memory_is_a_few_arrays_per_state():
+    # Reduced BLOCK_ROWS states at a time, a step holds its three outputs
+    # (32 B a state) and one block of temporaries: with the coins and the
+    # step the consumer still holds, about 90 B a state.  Reducing all
+    # 100,000 states at once peaked at 14.5 MiB.
+    states = sample_initial_states(100_000, 1)
+    tracemalloc.start()
+    try:
+        for _ in coin_densities(states, parse("MMF"), 20):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +405,14 @@ def test_certificate_checks_the_grid_axes_first(t_max):
         phase_independence_certificate(parse("HHH"), t_max, theta_samples=1)
 
 
+@pytest.mark.parametrize("axis", ["theta_samples", "phi_samples"])
+def test_certificate_refuses_an_axis_numpy_cannot_build(axis):
+    # np.linspace cannot build 2**63 samples: it raises IndexError for theta
+    # and returns an empty phi axis.
+    with pytest.raises(ValueError, match=r"grid axes need <= \d+ samples"):
+        phase_independence_certificate(parse("HHH"), 3, **{axis: 2**63})
+
+
 def test_hxx_is_maximal_on_the_whole_grid_at_steps_4_and_5_only():
     # The abstract's "maximally entangled states in some cases", for HXX: on
     # the 37 x 72 (theta, phi) grid every initial state reaches S = sqrt(2)
@@ -453,12 +496,13 @@ def test_compare_table_multi_step_ordering():
 
 
 def test_candidates_bitwise_independent_of_their_batch():
-    # Candidates walk together in blocks of WALK_BLOCK_BYTES of walk state;
-    # each one's means are bitwise those it gets walking alone, and do not
-    # depend on which candidates share its block.
+    # Candidates walk together in blocks of BLOCK_ROWS complex values of walk
+    # state, 4 * (2*steps + 1) per candidate; each one's means are bitwise
+    # those it gets walking alone, and do not depend on which candidates
+    # share its block.
     candidates = enumerate_patterns("HFMX", 3)
     assert len(candidates) == 76
-    per_block = WALK_BLOCK_BYTES // (2 * 2 * (2 * 20 + 1) * np.dtype(np.complex128).itemsize)
+    per_block = experiments.BLOCK_ROWS // (4 * (2 * 20 + 1))
     assert 1 <= per_block < len(candidates) and len(candidates) % per_block != 0
 
     def means(sequences):

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from parrondoqw.output import BLOCK_ROWS, format_column, write_csv
+from parrondoqw.output import BLOCK_ROWS, format_column, read_average_csv, write_csv
 
 
 def one_value(x):
@@ -141,3 +144,44 @@ def test_write_csv_refuses_empty_table(tmp_path, table):
     with pytest.raises(ValueError, match="a table needs at least one"):
         write_csv(str(out), {"command": "test"}, table)
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# read_average_csv on generated files
+# ---------------------------------------------------------------------------
+
+_MANIFESTS = st.one_of(
+    st.sampled_from(["{}", '{"a": NaN}', '{"a": 1e999}', "[1]", "null", "[" * 3000, "{"]),
+    st.dictionaries(st.text(max_size=4), st.one_of(st.integers(), st.floats(), st.text(max_size=4)),
+                    max_size=3).map(json.dumps),
+    st.text(max_size=12),
+)
+_NAMES = st.sampled_from(["t", "mean_S", "std_S", "mean_S_over_sqrt2", "", " t", "T", "\u00fc"])
+_CELLS = st.one_of(
+    st.sampled_from(["1", "2", "3", "0", "-1", "2.5", "1.25", "nan", "inf", "-inf", "1e300",
+                     "9.3e18", "9223372036854775808", "", " ", "\u00e9", "1_0", "0x1", "\u0661"]),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+_LINES = st.one_of(
+    _MANIFESTS.map(lambda m: "# manifest:" + m),
+    st.lists(_NAMES, min_size=1, max_size=5).map(",".join),
+    st.lists(_CELLS, min_size=1, max_size=5).map(",".join),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_LINES, max_size=8), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_read_average_csv_returns_or_raises_value_error(tmp_path, lines, newline):
+    # Manifest lines, headers and cells of every kind, lone surrogates (bytes
+    # that are not UTF-8) included: a file is read, or refused with ValueError.
+    path = tmp_path / "generated.csv"
+    path.write_bytes(newline.join(lines).encode("utf-8", "surrogatepass"))
+    try:
+        manifest, trajectory = read_average_csv(str(path))
+    except ValueError:
+        return
+    assert manifest is None or isinstance(manifest, dict)
+    assert len(trajectory.steps) == len(trajectory.mean_s) >= 1
+
