@@ -180,7 +180,9 @@ def _cmd_trace(args) -> None:
         phi = math.radians(phi)
     sequence = parse(args.seq)
     _angle_arrays([[theta, phi]])
-    args.seq, args.theta, args.phi = sequence.label, theta, phi % TWO_PI
+    # A tiny negative phi rounds up to exactly 2pi; the manifest keeps [0, 2pi).
+    phi %= TWO_PI
+    args.seq, args.theta, args.phi = sequence.label, theta, 0.0 if phi == TWO_PI else phi
     densities = coin_densities([[args.theta, args.phi]], sequence, args.steps)
     pop0, pop1, coherence = (np.concatenate(per_step) for per_step in zip(*densities))
     e_minus, e_plus = eigenvalues_from(pop0, pop1, coherence)

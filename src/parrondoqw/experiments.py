@@ -245,14 +245,21 @@ def coin_densities(
 def _sampled_sweep(sequences: Sequence[CoinSequence], recorded: Sequence[int], samples: int, seed: int):
     """Mean and std (ddof=0) of S over one seeded sample set, each ``(len(sequences), len(recorded))``.
 
-    Candidates walk ``BLOCK_ROWS`` complex values of walk state at a time, and
-    each candidate and recorded step is reduced on its own, ``BLOCK_ROWS``
-    samples at a time, into one ``(samples,)`` buffer of S, whose mean and std
-    are then taken whole.  So the reduction's temporaries stay in cache,
-    memory is O(samples + BLOCK_ROWS), and a candidate's values are bitwise
-    those it gets walking alone, at any block size.
+    The coins are built ``BLOCK_ROWS`` samples at a time from the one seeded
+    draw, which is dropped before the S buffer exists.  Candidates walk
+    ``BLOCK_ROWS`` complex values of walk state at a time, and each candidate
+    and recorded step is reduced on its own, ``BLOCK_ROWS`` samples at a
+    time, into one ``(samples,)`` buffer of S, whose mean and std are then
+    taken whole.  So the temporaries stay in cache, memory is at most 40 B a
+    sample plus O(BLOCK_ROWS), and a candidate's values are bitwise those it
+    gets walking alone, at any block size.
     """
-    coin0, coin1 = _initial_coins(*sample_initial_states(samples, seed).T)
+    angles = sample_initial_states(samples, seed)
+    coin0, coin1 = np.empty(samples), np.empty(samples, dtype=complex)
+    for first in range(0, samples, BLOCK_ROWS):
+        part = slice(first, first + BLOCK_ROWS)
+        coin0[part], coin1[part] = _initial_coins(*angles[part].T)
+    del angles
     steps = recorded[-1]
     mean_s, std_s = np.empty((2, len(sequences), len(recorded)))
     values = np.empty(samples)
@@ -422,7 +429,12 @@ def compare_table(
     Rows are keyed by label and step: a repeated label is walked once and
     gives one set of rows, a repeated step repeats its rows.  Memory is
     O(samples + BLOCK_ROWS), and a candidate's means are bitwise those
-    it gets walking alone (``_sampled_sweep``).
+    it gets walking alone (``_sampled_sweep``).  Every candidate walks to
+    ``max(step_list)``, and R's bits depend on the walk's total length (its
+    QR sums over every window row), so a mean at t may differ in the last
+    bit with the other steps requested: the t = 7 mean of ``[7]`` and of
+    ``[7, 140]``.  A 12th-digit rounding boundary or a tie in the sort can
+    then flip a printed byte.
     """
     if not candidates:
         raise ValueError("need at least one candidate sequence")

@@ -443,6 +443,18 @@ MANIFESTS = {
         '{"command": "trace", "params": {"phi": 4.71238898038469, "seq": "XXH", "steps": 3, '
         '"theta": 1.5707963267948966}, "version": "0.1.0"}',
     ),
+    # Recorded later: phi % 2pi rounds a phi just below 0 up to exactly 2pi,
+    # which the manifest writes as 0.0.
+    "trace-phi-below-0": (
+        ["trace", "--seq", "XXH", "--theta", "1", "--phi=-1e-17", "--steps", "2"],
+        '{"command": "trace", "params": {"phi": 0.0, "seq": "XXH", "steps": 2, "theta": 1.0}, '
+        '"version": "0.1.0"}',
+    ),
+    "trace-phi-below-0-degrees": (
+        ["trace", "--seq", "XXH", "--theta", "1", "--phi=-360e-17", "--degrees", "--steps", "2"],
+        '{"command": "trace", "params": {"phi": 0.0, "seq": "XXH", "steps": 2, '
+        '"theta": 0.017453292519943295}, "version": "0.1.0"}',
+    ),
     "average": (
         ["average", "--seq", "mmf", "--steps", "4", "--samples", "5", "--seed", "3", "--threads", "2"],
         '{"command": "average", "params": {"samples": 5, "seed": 3, "seq": "MMF", "steps": 4}, '
@@ -648,9 +660,13 @@ def test_grid_output_memory_does_not_grow_with_the_grid():
     # 2**63 samples on a grid axis: np.linspace cannot build that axis.
     ["grid", "--seq", "HHH", "--t", "3", "--theta-steps", str(2**63)],
     ["grid", "--seq", "HHH", "--t", "3", "--phi-steps", str(2**63)],
+    # Samples no draw can hold: 72.8 TiB of angles, and more than numpy sizes.
+    ["average", "--seq", "H", "--steps", "3", "--samples", "10000000000000"],
+    ["search", "--max-period", "2", "--t", "3", "--samples", str(2**63)],
 ], ids=["grid", "average", "trace", "compare", "search", "parrondo",
         "average-2^63", "trace-2^63", "compare-2^63", "grid-2^63",
-        "grid-theta-steps-2^63", "grid-phi-steps-2^63"])
+        "grid-theta-steps-2^63", "grid-phi-steps-2^63",
+        "average-samples", "search-samples-2^63"])
 def test_oversized_walk_is_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert run(*argv, "--out", out) == 1

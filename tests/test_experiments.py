@@ -213,6 +213,22 @@ def test_sampled_sweep_is_bitwise_the_same_at_every_sample_block_size(monkeypatc
     np.testing.assert_array_equal(std_s, whole[1])
 
 
+def test_sampled_sweep_memory_is_its_coins_and_s():
+    # The sweep holds 24 B of coins and 8 B of S per sample, and the 16 B of
+    # drawn angles only until the coins are built, one block at a time:
+    # 100,000 samples peak near 4.1 MiB.  Building the coins whole from the
+    # draw, with full-size temporaries, peaked at 5.3 MiB.  The first,
+    # small call keeps numpy's one-time imports out of the trace.
+    average_schmidt(parse("XXX"), 5, 10, 1)
+    tracemalloc.start()
+    try:
+        average_schmidt(parse("XXX"), 5, 100_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_coin_densities_are_bitwise_the_same_at_every_block_size(monkeypatch):
     # 2,500 states in blocks of 1000 leave a partial last block; each state's
     # values are elementwise arithmetic on its own coin, so they equal those
