@@ -3,14 +3,14 @@
 Every quantity runs on the coin-channel engine: the walker state is linear
 in the initial coin vector, so one ``walk.basis_walk`` and its QR factor R at
 each recorded step give the reduced coin density of every initial state
-(``_channel_reduction``).  Three paths read R, ``BLOCK_ROWS`` states at a
-time: ``coin_densities`` for given ``(N, 2)`` arrays of ``(theta, phi)``,
-``_sampled_sweep`` for seeded samples, and ``_grid_groups`` for the regular
-grid of ``grid`` and ``phase_independence_certificate``.  Each state's populations, coherence and
-Schmidt norm are elementwise arithmetic on its own angles, bitwise
-independent of the rest of the batch.  Randomness enters only through
-``sample_initial_states``, which draws every angle up front from a single
-seeded generator.
+(``_channel_reduction``).  Three paths read R: ``coin_densities`` for given
+``(N, 2)`` arrays of ``(theta, phi)`` and ``_sampled_sweep`` for seeded
+samples, both from one ``_coin_blocks`` list, and ``_grid_groups`` for the
+grid of ``grid`` and the phase certificate; ``output._blocks`` cuts every
+block.  Each state's populations, coherence and Schmidt norm are elementwise
+arithmetic on its own angles, bitwise independent of the rest of the batch.
+Randomness enters only through ``sample_initial_states``, which draws every
+angle up front from a single seeded generator.
 
 Fairness rule for comparisons: a shared (seed-determined) initial-state set
 is evolved under every candidate sequence, never re-sampled per candidate.
@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .entanglement import MAX_SCHMIDT_NORM, schmidt_norm_from
-from .output import BLOCK_ROWS
+from .output import _blocks
 from .sequences import CoinSequence
 from .walk import basis_walk
 
@@ -217,6 +217,11 @@ def _initial_coins(thetas, phis) -> tuple[NDArray, NDArray]:
     return np.cos(thetas / 2.0), np.exp(1j * phis) * np.sin(thetas / 2.0)
 
 
+def _coin_blocks(thetas, phis) -> list[tuple[slice, NDArray, NDArray]]:
+    """``(rows, coin0, coin1)`` of each block of states, so no whole-array temporary is built."""
+    return [(rows, *_initial_coins(thetas[rows], phis[rows])) for rows in _blocks(len(thetas))]
+
+
 def coin_densities(
     states,
     sequence: CoinSequence,
@@ -228,50 +233,40 @@ def coin_densities(
     ``states`` is an (N, 2) array, or nested list, of (theta, phi) rows with
     theta in [0, pi]; each yielded array has shape (N,).  ``record_steps``
     defaults to every step 1..steps; otherwise it must be a strictly
-    increasing subset of that range.  A step's arrays fill ``BLOCK_ROWS``
-    states at a time, and only one step's values are alive at a time, so a
+    increasing subset of that range.  A step's arrays fill one coin block
+    at a time, and only one step's values are alive at a time, so a
     consumer that reduces each step keeps O(N) memory.
     """
     record_steps = _record_steps(steps, record_steps)
-    coin0, coin1 = _initial_coins(*_angle_arrays(states))
+    coins = _coin_blocks(*_angle_arrays(states))
     for (r,) in _coin_channel([sequence], steps, record_steps):
-        (pop0, pop1), coherence = np.empty((2, len(coin0))), np.empty_like(coin1)
-        for first in range(0, len(coin0), BLOCK_ROWS):
-            part = slice(first, first + BLOCK_ROWS)
-            pop0[part], pop1[part], coherence[part] = _channel_reduction(r, coin0[part], coin1[part])
+        (pop0, pop1), coherence = np.empty((2, len(states))), np.empty(len(states), dtype=complex)
+        for rows, coin0, coin1 in coins:
+            pop0[rows], pop1[rows], coherence[rows] = _channel_reduction(r, coin0, coin1)
         yield pop0, pop1, coherence
 
 
 def _sampled_sweep(sequences: Sequence[CoinSequence], recorded: Sequence[int], samples: int, seed: int):
     """Mean and std (ddof=0) of S over one seeded sample set, each ``(len(sequences), len(recorded))``.
 
-    The coins are built ``BLOCK_ROWS`` samples at a time from the one seeded
-    draw, which is dropped before the S buffer exists.  Candidates walk
-    ``BLOCK_ROWS`` complex values of walk state at a time, and each candidate
-    and recorded step is reduced on its own, ``BLOCK_ROWS`` samples at a
-    time, into one ``(samples,)`` buffer of S, whose mean and std are then
-    taken whole.  So the temporaries stay in cache, memory is at most 40 B a
-    sample plus O(BLOCK_ROWS), and a candidate's values are bitwise those it
-    gets walking alone, at any block size.
+    The coins are one ``_coin_blocks`` list from the one seeded draw, which
+    is dropped before the S buffer exists.  Candidates walk in blocks of
+    about ``BLOCK_ROWS`` complex values of walk state, 4 * (2*steps + 1) a
+    candidate, and each candidate and recorded step is reduced on its own, a
+    coin block at a time, into one ``(samples,)`` buffer of S, whose mean and
+    std are then taken whole.  So the temporaries stay in cache, memory is at
+    most 40 B a sample plus O(BLOCK_ROWS), and a candidate's values are
+    bitwise those it gets walking alone, at any block size.
     """
-    angles = sample_initial_states(samples, seed)
-    coin0, coin1 = np.empty(samples), np.empty(samples, dtype=complex)
-    for first in range(0, samples, BLOCK_ROWS):
-        part = slice(first, first + BLOCK_ROWS)
-        coin0[part], coin1[part] = _initial_coins(*angles[part].T)
-    del angles
+    coins = _coin_blocks(*sample_initial_states(samples, seed).T)
     steps = recorded[-1]
     mean_s, std_s = np.empty((2, len(sequences), len(recorded)))
     values = np.empty(samples)
-    # 4 * (2*steps + 1) values per candidate; at least one, however long its walk.
-    size = max(1, BLOCK_ROWS // (4 * (2 * steps + 1)))
-    for start in range(0, len(sequences), size):
-        block = _coin_channel(sequences[start:start + size], steps, recorded)
-        for column, r in enumerate(block):
-            for m, r_m in enumerate(r, start=start):
-                for first in range(0, samples, BLOCK_ROWS):
-                    part = slice(first, first + BLOCK_ROWS)
-                    values[part] = schmidt_norm_from(*_channel_reduction(r_m, coin0[part], coin1[part]))
+    for group in _blocks(len(sequences), 4 * (2 * steps + 1)):
+        for column, r in enumerate(_coin_channel(sequences[group], steps, recorded)):
+            for m, r_m in enumerate(r, start=group.start):
+                for rows, coin0, coin1 in coins:
+                    values[rows] = schmidt_norm_from(*_channel_reduction(r_m, coin0, coin1))
                 mean_s[m, column], std_s[m, column] = values.mean(), values.std()
     return mean_s, std_s
 
@@ -369,10 +364,8 @@ def _grid_groups(sequence: CoinSequence, recorded: Sequence[int], theta_axis: ND
     two axes, so no ``(theta, phi)`` cell array is built and memory does not
     grow with the grid; ``values`` has shape ``(rows, len(phi_axis))``.
     """
-    size = max(1, BLOCK_ROWS // len(phi_axis))
     for column, (r,) in enumerate(_coin_channel([sequence], recorded[-1], recorded)):
-        for start in range(0, len(theta_axis), size):
-            rows = slice(start, start + size)
+        for rows in _blocks(len(theta_axis), len(phi_axis)):
             coins = _initial_coins(theta_axis[rows, None], phi_axis)
             yield column, rows, schmidt_norm_from(*_channel_reduction(r, *coins))
 

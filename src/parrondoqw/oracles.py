@@ -134,7 +134,8 @@ class InitialState:
             raise ValueError(f"initial state angles must be finite, got theta={self.theta!r} phi={self.phi!r}")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
+        phi = self.phi % (2.0 * math.pi)  # a tiny negative phi rounds up to exactly 2pi
+        object.__setattr__(self, "phi", 0.0 if phi == 2.0 * math.pi else phi)
 
     def coin_amplitudes(self) -> tuple[complex, complex]:
         """Amplitude pair (coin-0, coin-1) at the origin."""

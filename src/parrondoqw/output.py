@@ -52,7 +52,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,8 +68,14 @@ __all__ = [
 #: text of at most one block exists.  At 4096 rows a complex temporary is
 #: 64 KiB, below glibc's default 128 KiB mmap threshold, so a block's
 #: temporaries reuse heap pages and cache lines instead of being mapped and
-#: faulted in anew for every block.
+#: faulted in anew for every block.  ``_blocks`` is its one reader.
 BLOCK_ROWS = 1 << 12
+
+
+def _blocks(count: int, cells: int = 1) -> Iterator[slice]:
+    """Slices cutting ``range(count)`` in order, ``max(1, BLOCK_ROWS // cells)`` items each but the last."""
+    step = max(1, BLOCK_ROWS // cells)
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def _words(texts: Iterable[str]) -> np.ndarray:
@@ -253,8 +259,8 @@ def write_csv(path: str | None, manifest: dict, table: dict | Iterable[dict]) ->
         head = f"# manifest: {json.dumps(manifest, sort_keys=True)}\n" + ",".join(first) + "\n"
         write(head.encode())
         for columns in itertools.chain([checked], map(_columns, blocks)):
-            for start in range(0, len(columns[0]), BLOCK_ROWS):
-                cells = [_cells(column[start:start + BLOCK_ROWS]) for column in columns]
+            for rows in _blocks(len(columns[0])):
+                cells = [_cells(column[rows]) for column in columns]
                 write(_joined(cells))
 
 

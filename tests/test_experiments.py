@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parrondoqw import experiments
+from parrondoqw import experiments, output
 from parrondoqw.experiments import (
     _grid_axes,
     _grid_groups,
@@ -50,6 +50,13 @@ def test_sampling_respects_ranges():
     # phi is already canonical: InitialState leaves every sample unchanged
     for theta, phi in angles:
         assert InitialState(theta, phi).phi == phi
+
+
+def test_initial_state_phi_just_below_zero_is_zero():
+    # -1e-17 % 2pi rounds up to exactly 2pi, outside [0, 2pi); -0.0 is 0.
+    for phi in (-1e-17, -0.0):
+        canonical = InitialState(1.0, phi).phi
+        assert canonical == 0.0 and math.copysign(1.0, canonical) == 1.0, phi
 
 
 def test_sampling_mean_theta_matches_uniform_moments():
@@ -194,6 +201,18 @@ def test_average_memory_is_bounded_by_samples(run):
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def _counted_reductions(monkeypatch):
+    """A list that grows by one at every ``_channel_reduction`` call."""
+    calls, reduce = [], experiments._channel_reduction
+
+    def counted(*args):
+        calls.append(None)
+        return reduce(*args)
+
+    monkeypatch.setattr(experiments, "_channel_reduction", counted)
+    return calls
+
+
 @pytest.mark.parametrize("block_rows", [164, 492, 1000, 4096])
 def test_sampled_sweep_is_bitwise_the_same_at_every_sample_block_size(monkeypatch, block_rows):
     # 2,500 samples in blocks of 1000 leave a partial last block; 4096 is one
@@ -201,13 +220,16 @@ def test_sampled_sweep_is_bitwise_the_same_at_every_sample_block_size(monkeypatc
     # run over the whole buffer, so both equal a single whole block bitwise.
     # BLOCK_ROWS also sizes candidate blocks: at 20 steps a candidate's walk
     # state is 4 * 41 = 164 values, so 164 and 492 walk 1 and 3 of the 4
-    # candidates at a time, and the others all 4 together.
+    # candidates at a time, and the others all 4 together.  The count of
+    # reductions shows the patched size reaches every sample block.
     sequences = [parse("MMF"), parse("XXH"), parse("HFX"), parse("H")]
     recorded = [1, 3, 7, 20]
-    monkeypatch.setattr(experiments, "BLOCK_ROWS", 2500)
+    monkeypatch.setattr(output, "BLOCK_ROWS", 2500)
     whole = _sampled_sweep(sequences, recorded, 2500, 3)
-    monkeypatch.setattr(experiments, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(output, "BLOCK_ROWS", block_rows)
+    calls = _counted_reductions(monkeypatch)
     mean_s, std_s = _sampled_sweep(sequences, recorded, 2500, 3)
+    assert len(calls) == 4 * 4 * math.ceil(2500 / block_rows)
     assert mean_s.shape == std_s.shape == (4, 4)
     np.testing.assert_array_equal(mean_s, whole[0])
     np.testing.assert_array_equal(std_s, whole[1])
@@ -216,7 +238,7 @@ def test_sampled_sweep_is_bitwise_the_same_at_every_sample_block_size(monkeypatc
 def test_sampled_sweep_memory_is_its_coins_and_s():
     # The sweep holds 24 B of coins and 8 B of S per sample, and the 16 B of
     # drawn angles only until the coins are built, one block at a time:
-    # 100,000 samples peak near 4.1 MiB.  Building the coins whole from the
+    # 100,000 samples peak near 3.9 MiB.  Building the coins whole from the
     # draw, with full-size temporaries, peaked at 5.3 MiB.  The first,
     # small call keeps numpy's one-time imports out of the trace.
     average_schmidt(parse("XXX"), 5, 10, 1)
@@ -235,10 +257,12 @@ def test_coin_densities_are_bitwise_the_same_at_every_block_size(monkeypatch):
     # of a single whole block bitwise, the poles included.
     states = sample_initial_states(2500, 4)
     states[:4, 0] = [0.0, math.pi, 0.0, math.pi]
-    monkeypatch.setattr(experiments, "BLOCK_ROWS", 2500)
+    monkeypatch.setattr(output, "BLOCK_ROWS", 2500)
     whole = list(coin_densities(states, parse("MMF"), 12))
-    monkeypatch.setattr(experiments, "BLOCK_ROWS", 1000)
+    monkeypatch.setattr(output, "BLOCK_ROWS", 1000)
+    calls = _counted_reductions(monkeypatch)
     blocked = list(coin_densities(states, parse("MMF"), 12))
+    assert len(calls) == 12 * math.ceil(2500 / 1000)
     assert len(blocked) == len(whole) == 12
     for step, expected in zip(blocked, whole):
         for values, reference in zip(step, expected):
@@ -518,7 +542,7 @@ def test_candidates_bitwise_independent_of_their_batch():
     # share its block.
     candidates = enumerate_patterns("HFMX", 3)
     assert len(candidates) == 76
-    per_block = experiments.BLOCK_ROWS // (4 * (2 * 20 + 1))
+    per_block = output.BLOCK_ROWS // (4 * (2 * 20 + 1))
     assert 1 <= per_block < len(candidates) and len(candidates) % per_block != 0
 
     def means(sequences):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from parrondoqw.output import BLOCK_ROWS, format_column, read_average_csv, write_csv
+from parrondoqw.output import BLOCK_ROWS, _blocks, format_column, read_average_csv, write_csv
 
 
 def one_value(x):
@@ -43,6 +43,19 @@ def test_format_column_integers_and_strings():
     texts = ["XXH", "0.5", "abc"]
     assert format_column(texts) is texts
     assert format_column([]) == []
+
+
+@pytest.mark.parametrize("cells", [1, 164, 720, 16_389])
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 10_000])
+def test_blocks_tile_the_range_in_order(count, cells):
+    # The items each slice cuts from range(count), concatenated, are the
+    # range itself: no gap, no overlap, in order.  Every block is full but
+    # the last, which holds at least one item.
+    size = max(1, BLOCK_ROWS // cells)
+    parts = [range(count)[block] for block in _blocks(count, cells)]
+    assert [i for part in parts for i in part] == list(range(count))
+    assert all(len(part) == size for part in parts[:-1])
+    assert all(1 <= len(part) <= size for part in parts[-1:])
 
 
 def test_write_csv_across_block_boundaries(tmp_path):
