@@ -3,20 +3,19 @@
 Every quantity runs on the coin-channel engine: the walker state is linear
 in the initial coin vector, so one ``walk.basis_walk`` and its QR factor R at
 each recorded step give the reduced coin density of every initial state
-(``_channel_reduction``).  Three paths read R: ``coin_densities`` for given
-``(N, 2)`` arrays of ``(theta, phi)`` and ``_sampled_sweep`` for seeded
-samples, both from one ``_coin_blocks`` list, and ``_grid_groups`` for the
-grid of ``grid`` and the phase certificate; ``output._blocks`` cuts every
-block.  Each state's populations, coherence and Schmidt norm are elementwise
-arithmetic on its own angles, bitwise independent of the rest of the batch.
-Randomness enters only through ``sample_initial_states``, which draws every
-angle up front from a single seeded generator.
+(``_channel_reduction``).  ``_channel_factors`` walks once and returns
+``R[m, column]`` for every candidate and recorded step, and three paths
+index it: ``coin_densities`` for given ``(N, 2)`` arrays of ``(theta, phi)``
+and ``_sampled_sweep`` for seeded samples, both from one ``_coin_blocks``
+list, and ``_grid_groups`` for the grid of ``grid`` and the phase
+certificate; ``output._blocks`` cuts every block.  Each state's values are
+elementwise arithmetic on its own angles, bitwise independent of the rest
+of the batch.  Randomness enters only through ``sample_initial_states``,
+which draws every angle up front from a single seeded generator.
 
-Fairness rule for comparisons: a shared (seed-determined) initial-state set
-is evolved under every candidate sequence, never re-sampled per candidate.
-Every sampled mean comes from ``_sampled_sweep``, which walks the candidates
-together on the candidate axis of ``basis_walk``, with one stacked QR per
-block and recorded step, then reduces each candidate on its own.
+Fairness rule for comparisons: every sampled mean comes from
+``_sampled_sweep``, which evolves one shared (seed-determined) initial-state
+set under every candidate sequence, never re-sampled per candidate.
 """
 
 from __future__ import annotations
@@ -155,8 +154,8 @@ def _angle_arrays(states) -> tuple[NDArray, NDArray]:
 # ---------------------------------------------------------------------------
 
 
-def _coin_channel(sequences: Sequence[CoinSequence], steps: int, record_steps: Iterable[int]):
-    """Yield the stacked ``(n, 4, 4)`` QR factor R at each recorded step, for every candidate and coin ``c``.
+def _channel_factors(sequences: Sequence[CoinSequence], steps: int, recorded: Sequence[int]) -> NDArray:
+    """The QR factor R of every candidate at every recorded step, ``(n, len(recorded), rows, 4)``.
 
     One ``basis_walk`` (``psi[m, coin, basis, position]``) gives, for
     candidate m, coin planes ``A0 c`` and ``A1 c``, column k of A0 / A1 being
@@ -164,18 +163,20 @@ def _coin_channel(sequences: Sequence[CoinSequence], steps: int, record_steps: I
     ``[A0 A1] = Q [R0 R1]`` the populations and coherence of ``c`` are those
     of the at most six amplitudes ``R0 c``, ``R1 c``: the Gram matrices
     ``c^dag A0^dag A0 c`` etc. in square-root form, so a population that is
-    tiny through cancellation keeps its relative accuracy.  Each recorded
-    step runs one stacked QR of the ``(n, positions, 4)`` matrices, a view
-    of ``psi`` whose columns are ``[A0 A1]``, and ``r[m]`` is candidate m's R
-    (3 rows when ``steps`` is 1).  ``record_steps`` is strictly increasing and
-    read one step at a time, so a ``range`` of every step is never held.
+    tiny through cancellation keeps its relative accuracy.  Candidates walk
+    in blocks of about ``BLOCK_ROWS`` values of walk state, 4 * (2*steps + 1)
+    a candidate, each recorded step one stacked QR of the block's ``[A0 A1]``
+    views of ``psi``.  R has 3 rows if ``steps`` is 1, else 4 (256 B).  The
+    walk stops at the last recorded step, in a window of ``2*steps + 1``
+    positions, so R's bits do not depend on where it stops.
     """
-    pending = iter(record_steps)
-    next_step = next(pending, None)
-    for t, psi in enumerate(basis_walk(sequences, steps), start=1):
-        if t == next_step:
-            yield np.linalg.qr(psi.reshape(len(psi), 4, -1).transpose(0, 2, 1), mode="r")
-            next_step = next(pending, None)
+    factors = np.empty((len(sequences), len(recorded), min(2 * steps + 1, 4), 4), dtype=np.complex128)
+    for group in _blocks(len(sequences), 4 * (2 * steps + 1)):
+        walk = enumerate(basis_walk(sequences[group], steps), start=1)
+        for column, step in enumerate(recorded):
+            psi = next(psi for t, psi in walk if t == step)
+            factors[group, column] = np.linalg.qr(psi.reshape(len(psi), 4, -1).transpose(0, 2, 1), mode="r")
+    return factors
 
 
 def _channel_reduction(r, coin0, coin1):
@@ -233,13 +234,13 @@ def coin_densities(
     ``states`` is an (N, 2) array, or nested list, of (theta, phi) rows with
     theta in [0, pi]; each yielded array has shape (N,).  ``record_steps``
     defaults to every step 1..steps; otherwise it must be a strictly
-    increasing subset of that range.  A step's arrays fill one coin block
-    at a time, and only one step's values are alive at a time, so a
-    consumer that reduces each step keeps O(N) memory.
+    increasing subset of that range; the walk stops at the last.  A step's
+    arrays fill one coin block at a time, and only one step's values are
+    alive at a time, so a consumer that reduces each step keeps O(N) memory.
     """
     record_steps = _record_steps(steps, record_steps)
     coins = _coin_blocks(*_angle_arrays(states))
-    for (r,) in _coin_channel([sequence], steps, record_steps):
+    for r in _channel_factors([sequence], steps, record_steps)[0]:
         (pop0, pop1), coherence = np.empty((2, len(states))), np.empty(len(states), dtype=complex)
         for rows, coin0, coin1 in coins:
             pop0[rows], pop1[rows], coherence[rows] = _channel_reduction(r, coin0, coin1)
@@ -250,24 +251,21 @@ def _sampled_sweep(sequences: Sequence[CoinSequence], recorded: Sequence[int], s
     """Mean and std (ddof=0) of S over one seeded sample set, each ``(len(sequences), len(recorded))``.
 
     The coins are one ``_coin_blocks`` list from the one seeded draw, which
-    is dropped before the S buffer exists.  Candidates walk in blocks of
-    about ``BLOCK_ROWS`` complex values of walk state, 4 * (2*steps + 1) a
-    candidate, and each candidate and recorded step is reduced on its own, a
-    coin block at a time, into one ``(samples,)`` buffer of S, whose mean and
-    std are then taken whole.  So the temporaries stay in cache, memory is at
-    most 40 B a sample plus O(BLOCK_ROWS), and a candidate's values are
+    is dropped before the S buffer exists.  Each candidate and recorded step
+    of ``_channel_factors`` is reduced on its own, a coin block at a time,
+    into one ``(samples,)`` buffer of S, whose mean and std are then taken
+    whole.  So the temporaries stay in cache, memory is 40 B a sample, 256 B
+    a candidate and step and O(BLOCK_ROWS), and a candidate's values are
     bitwise those it gets walking alone, at any block size.
     """
     coins = _coin_blocks(*sample_initial_states(samples, seed).T)
-    steps = recorded[-1]
-    mean_s, std_s = np.empty((2, len(sequences), len(recorded)))
+    factors = _channel_factors(sequences, recorded[-1], recorded)
+    mean_s, std_s = np.empty((2, *factors.shape[:2]))
     values = np.empty(samples)
-    for group in _blocks(len(sequences), 4 * (2 * steps + 1)):
-        for column, r in enumerate(_coin_channel(sequences[group], steps, recorded)):
-            for m, r_m in enumerate(r, start=group.start):
-                for rows, coin0, coin1 in coins:
-                    values[rows] = schmidt_norm_from(*_channel_reduction(r_m, coin0, coin1))
-                mean_s[m, column], std_s[m, column] = values.mean(), values.std()
+    for index in np.ndindex(factors.shape[:2]):
+        for rows, coin0, coin1 in coins:
+            values[rows] = schmidt_norm_from(*_channel_reduction(factors[index], coin0, coin1))
+        mean_s[index], std_s[index] = values.mean(), values.std()
     return mean_s, std_s
 
 
@@ -359,14 +357,16 @@ def _grid_axes(theta_steps: int, phi_steps: int) -> tuple[NDArray, NDArray]:
 def _grid_groups(sequence: CoinSequence, recorded: Sequence[int], theta_axis: NDArray, phi_axis: NDArray):
     """Yield ``(column, rows, values)``: at ``recorded[column]``, a slice of theta rows and their S.
 
-    The walk runs once.  At each of the strictly increasing ``recorded`` steps
-    the theta rows come in groups of about ``BLOCK_ROWS`` cells, coins from the
-    two axes, so no ``(theta, phi)`` cell array is built and memory does not
-    grow with the grid; ``values`` has shape ``(rows, len(phi_axis))``.
+    The walk runs once (``_channel_factors``).  The theta rows come in groups
+    of about ``BLOCK_ROWS`` cells, group-major: a group's coins are built once
+    from the two axes and reduced at every recorded step in turn, so no
+    ``(theta, phi)`` cell array is built and memory does not grow with the
+    grid; ``values`` has shape ``(rows, len(phi_axis))``.
     """
-    for column, (r,) in enumerate(_coin_channel([sequence], recorded[-1], recorded)):
-        for rows in _blocks(len(theta_axis), len(phi_axis)):
-            coins = _initial_coins(theta_axis[rows, None], phi_axis)
+    factors = _channel_factors([sequence], recorded[-1], recorded)[0]
+    for rows in _blocks(len(theta_axis), len(phi_axis)):
+        coins = _initial_coins(theta_axis[rows, None], phi_axis)
+        for column, r in enumerate(factors):
             yield column, rows, schmidt_norm_from(*_channel_reduction(r, *coins))
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from parrondoqw import experiments, output
 from parrondoqw.experiments import (
+    _channel_factors,
     _grid_axes,
     _grid_groups,
     _sampled_sweep,
@@ -141,6 +142,38 @@ def test_trajectories_record_steps_subset():
     np.testing.assert_array_equal(subset[1], full[9])
 
 
+def test_coin_densities_walk_stops_at_the_last_recorded_step(monkeypatch):
+    # The walk's window is that of all 40 steps, so the recorded steps' bits
+    # are those of the full run, but no step after the last one is walked.
+    states = sample_initial_states(300, seed=8)
+    full = list(coin_densities(states, parse("MMF"), 40))
+    yields, walk = [], experiments.basis_walk
+
+    def counted(*args):
+        for psi in walk(*args):
+            yields.append(None)
+            yield psi
+
+    monkeypatch.setattr(experiments, "basis_walk", counted)
+    subset = list(coin_densities(states, parse("MMF"), 40, [3, 11]))
+    assert len(yields) == 11
+    for step, expected in zip(subset, (full[2], full[10]), strict=True):
+        for values, reference in zip(step, expected, strict=True):
+            np.testing.assert_array_equal(values, reference)
+
+
+@pytest.mark.parametrize("recorded", [[1], [1, 2, 7], [1, 2, 7, 50], [140]])
+def test_channel_factors_keep_the_total_population(recorded):
+    # P0 + P1 = I on the engine's own output: with [A0 A1] = Q [R0 R1],
+    # R0^dag R0 + R1^dag R1 = A0^dag A0 + A1^dag A1, the identity for a walk
+    # that keeps every initial coin normalized.
+    factors = _channel_factors(enumerate_patterns("HFMX", 3), recorded[-1], recorded)
+    assert factors.shape == (76, len(recorded), 3 if recorded == [1] else 4, 4)
+    r0, r1 = factors[..., :2], factors[..., 2:]
+    gram = np.einsum("...ki,...kj->...ij", r0.conj(), r0) + np.einsum("...ki,...kj->...ij", r1.conj(), r1)
+    assert np.max(np.abs(gram - np.eye(2))) < 1e-13
+
+
 def test_trajectories_record_steps_validation():
     states = sample_initial_states(2, seed=1)
     for bad in ([], [0], [3, 2], [1, 11]):
@@ -201,15 +234,15 @@ def test_average_memory_is_bounded_by_samples(run):
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def _counted_reductions(monkeypatch):
-    """A list that grows by one at every ``_channel_reduction`` call."""
-    calls, reduce = [], experiments._channel_reduction
+def _counted_calls(monkeypatch, name="_channel_reduction"):
+    """A list that grows by one at every call of ``experiments.<name>``."""
+    calls, func = [], getattr(experiments, name)
 
     def counted(*args):
         calls.append(None)
-        return reduce(*args)
+        return func(*args)
 
-    monkeypatch.setattr(experiments, "_channel_reduction", counted)
+    monkeypatch.setattr(experiments, name, counted)
     return calls
 
 
@@ -227,7 +260,7 @@ def test_sampled_sweep_is_bitwise_the_same_at_every_sample_block_size(monkeypatc
     monkeypatch.setattr(output, "BLOCK_ROWS", 2500)
     whole = _sampled_sweep(sequences, recorded, 2500, 3)
     monkeypatch.setattr(output, "BLOCK_ROWS", block_rows)
-    calls = _counted_reductions(monkeypatch)
+    calls = _counted_calls(monkeypatch)
     mean_s, std_s = _sampled_sweep(sequences, recorded, 2500, 3)
     assert len(calls) == 4 * 4 * math.ceil(2500 / block_rows)
     assert mean_s.shape == std_s.shape == (4, 4)
@@ -260,7 +293,7 @@ def test_coin_densities_are_bitwise_the_same_at_every_block_size(monkeypatch):
     monkeypatch.setattr(output, "BLOCK_ROWS", 2500)
     whole = list(coin_densities(states, parse("MMF"), 12))
     monkeypatch.setattr(output, "BLOCK_ROWS", 1000)
-    calls = _counted_reductions(monkeypatch)
+    calls = _counted_calls(monkeypatch)
     blocked = list(coin_densities(states, parse("MMF"), 12))
     assert len(calls) == 12 * math.ceil(2500 / 1000)
     assert len(blocked) == len(whole) == 12
@@ -396,14 +429,25 @@ def test_fourier_grid_is_phase_shifted_hadamard_grid():
 # cells than BLOCK_ROWS, so one theta row per group.
 @pytest.mark.parametrize("theta_steps, phi_steps", [(37, 1000), (3, 16389)])
 @pytest.mark.parametrize("label", ["HHH", "FMX", "XXH"])
-def test_grid_groups_are_bitwise_the_expanded_cells(label, theta_steps, phi_steps):
+def test_grid_groups_are_bitwise_the_expanded_cells(monkeypatch, label, theta_steps, phi_steps):
     # Coins taken from the axes add no drift: every cell equals, exactly, the
-    # value coin_densities gives it among the expanded (theta, phi) cells.
-    t = 7
+    # value coin_densities gives it among the expanded (theta, phi) cells, at
+    # every recorded step.  Each group of theta rows builds its coins once
+    # and yields one block per recorded step.
+    recorded = [1, 4, 7]
     cells = _expanded_cells(theta_steps, phi_steps)
-    expected = schmidt_norm_from(*next(coin_densities(cells, parse(label), t, [t])))
-    _, _, values = _grid(label, t, theta_steps, phi_steps)
-    assert np.all(values.ravel() == expected)
+    expected = [schmidt_norm_from(*d).reshape(theta_steps, phi_steps)
+                for d in coin_densities(cells, parse(label), 7, recorded)]
+    built = _counted_calls(monkeypatch, "_initial_coins")
+    theta_axis, phi_axis = _grid_axes(theta_steps, phi_steps)
+    seen = []
+    for column, rows, group in _grid_groups(parse(label), recorded, theta_axis, phi_axis):
+        seen.append((column, rows.start, rows.stop))
+        assert group.shape == expected[column][rows].shape
+        assert np.all(group == expected[column][rows])
+    groups = [(rows.start, rows.stop) for rows in output._blocks(theta_steps, phi_steps)]
+    assert sorted(seen) == sorted((column, *rows) for column in range(3) for rows in groups)
+    assert len(built) == len(groups) == {37: 10, 3: 3}[theta_steps]
 
 
 def test_certificate_memory_does_not_grow_with_the_grid():
