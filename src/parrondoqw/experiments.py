@@ -213,14 +213,14 @@ def _record_steps(steps: int, record_steps: Iterable[int] | None) -> Sequence[in
     return record_steps
 
 
-def _initial_coins(thetas, phis) -> tuple[NDArray, NDArray]:
-    """Coin amplitudes ``(cos(theta/2), e^{i phi} sin(theta/2))``, elementwise with broadcasting."""
-    return np.cos(thetas / 2.0), np.exp(1j * phis) * np.sin(thetas / 2.0)
+def _initial_coins(thetas, phases) -> tuple[NDArray, NDArray]:
+    """Coin amplitudes ``(cos(theta/2), e^{i phi} sin(theta/2))`` from ``phases = e^{i phi}``, broadcast."""
+    return np.cos(thetas / 2.0), phases * np.sin(thetas / 2.0)
 
 
 def _coin_blocks(thetas, phis) -> list[tuple[slice, NDArray, NDArray]]:
     """``(rows, coin0, coin1)`` of each block of states, so no whole-array temporary is built."""
-    return [(rows, *_initial_coins(thetas[rows], phis[rows])) for rows in _blocks(len(thetas))]
+    return [(rows, *_initial_coins(thetas[rows], np.exp(1j * phis[rows]))) for rows in _blocks(len(thetas))]
 
 
 def coin_densities(
@@ -357,15 +357,16 @@ def _grid_axes(theta_steps: int, phi_steps: int) -> tuple[NDArray, NDArray]:
 def _grid_groups(sequence: CoinSequence, recorded: Sequence[int], theta_axis: NDArray, phi_axis: NDArray):
     """Yield ``(column, rows, values)``: at ``recorded[column]``, a slice of theta rows and their S.
 
-    The walk runs once (``_channel_factors``).  The theta rows come in groups
-    of about ``BLOCK_ROWS`` cells, group-major: a group's coins are built once
-    from the two axes and reduced at every recorded step in turn, so no
-    ``(theta, phi)`` cell array is built and memory does not grow with the
-    grid; ``values`` has shape ``(rows, len(phi_axis))``.
+    The walk runs once (``_channel_factors``), the phase row ``e^{i phi}``
+    once.  The theta rows come in groups of about ``BLOCK_ROWS`` cells,
+    group-major: a group's coins are built once and reduced at every recorded
+    step in turn, so no ``(theta, phi)`` cell array is built and memory does
+    not grow with the grid; ``values`` has shape ``(rows, len(phi_axis))``.
     """
     factors = _channel_factors([sequence], recorded[-1], recorded)[0]
+    phases = np.exp(1j * phi_axis)
     for rows in _blocks(len(theta_axis), len(phi_axis)):
-        coins = _initial_coins(theta_axis[rows, None], phi_axis)
+        coins = _initial_coins(theta_axis[rows, None], phases)
         for column, r in enumerate(factors):
             yield column, rows, schmidt_norm_from(*_channel_reduction(r, *coins))
 

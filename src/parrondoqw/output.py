@@ -40,9 +40,11 @@ cell of a block are dropped.
 Every other float takes the ``%`` rule one cell at a time: nan and the
 infinities, |x| < 1e-3 (zero, -0.0 and subnormals included), values that
 round to 10 or more (the same text, only slower), and cells whose y lies
-exactly on a tie.  So do integer columns.  Text columns are numpy ``S``
-arrays, taken as they are; a list of ``str`` is encoded once.  Both writers
-write bytes to the file, or to stdout's buffer (decoded to a stdout with none).
+exactly on a tie.  Every other column becomes a numpy ``S`` array, whose
+bytes are the cells: a ``U`` array (what ``np.asarray`` makes of a list of
+``str``) is UTF-8 encoded once, integers convert by ``astype("S")`` and
+booleans print as the integers 1 and 0.  Both writers write bytes to the
+file, or to stdout's buffer (decoded to a stdout with none).
 """
 
 from __future__ import annotations
@@ -119,12 +121,6 @@ def _percent(cells: list) -> list[str]:
     return ["%.11e" % x if abs(x) < 1e-3 else "%.12g" % x for x in cells]
 
 
-def _text_cells(texts: Iterable[str]) -> np.ndarray:
-    """The ``(n, w)`` matrix of ready-made cell texts, NUL-padded to the longest."""
-    array = np.array([text.encode() for text in texts], dtype="S")
-    return array.view(np.uint8).reshape(len(array), array.itemsize)
-
-
 def _split(values: np.ndarray, divisor):
     """Quotient and remainder of float integers below 2**53 by a power of ten, exactly."""
     high = np.floor(values / divisor)
@@ -132,16 +128,16 @@ def _split(values: np.ndarray, divisor):
 
 
 def _cells(values) -> np.ndarray:
-    """The NUL-padded ``(n, w)`` uint8 text matrix of one column (see the module docstring)."""
-    if isinstance(values, list) and values and isinstance(values[0], str):
-        return _text_cells(values)
+    """The NUL-padded ``(n, w)`` uint8 text matrix of one column: its ``S`` bytes, or its floats' cells."""
     array = np.asarray(values)
-    n = len(array)
+    kind = array.dtype.kind
+    if kind == "U":
+        array = np.array([text.encode() for text in array.tolist()], dtype="S")
+    elif kind in "biu":
+        array = (array.view(np.uint8) if kind == "b" else array).astype("S")
     if array.dtype.kind == "S":
-        return array.view(np.uint8).reshape(n, array.itemsize)
-    if array.dtype.kind in "iu":
-        return _text_cells(map(str, array.tolist()))
-    return _number_cells(array.astype(np.float64, copy=False)) if n else np.zeros((0, 0), np.uint8)
+        return array.view(np.uint8).reshape(len(array), array.itemsize)
+    return _number_cells(array.astype(np.float64, copy=False)) if len(array) else np.zeros((0, 0), np.uint8)
 
 
 def _number_cells(x: np.ndarray) -> np.ndarray:
@@ -176,7 +172,7 @@ def _number_cells(x: np.ndarray) -> np.ndarray:
     cells = np.ascontiguousarray(words[:width].T).view(np.uint8)
     bad = np.flatnonzero(~ok)
     if bad.size:
-        texts = _text_cells(_percent(x[bad].tolist()))
+        texts = _cells(_percent(x[bad].tolist()))
         if texts.shape[1] > cells.shape[1]:
             cells = np.pad(cells, ((0, 0), (0, texts.shape[1] - cells.shape[1])))
         cells[bad] = 0
@@ -199,8 +195,8 @@ def format_column(values) -> list[str]:
     Floats print at 12 significant digits (``%.12g``), in scientific form
     ``%.11e`` when ``|x| < 1e-3`` (zero, -0.0 and subnormals included); nan
     and the infinities print as ``nan``, ``inf`` and ``-inf``.  Integers
-    print as integers.  A list of strings is text already and passes through
-    unchanged.
+    print as integers, booleans as 1 and 0.  Text (a numpy ``U`` or ``S``
+    array) is its own cells; a list of strings passes through unchanged.
     """
     if isinstance(values, list) and values and isinstance(values[0], str):
         return values
@@ -241,14 +237,14 @@ def _columns(block: dict[str, Sequence]) -> list[Sequence]:
 def write_csv(path: str | None, manifest: dict, table: dict | Iterable[dict]) -> None:
     """Write the manifest comment, the column row, then the rows of ``table``.
 
-    ``table`` maps each column name, in order, to its cells: a numpy array or
-    sequence of numbers, a numpy ``S`` array of text, or a list of strings
-    already formatted.  Every column has the same length.  ``table`` may
-    instead be an iterable of such dicts, blocks of rows under the first
+    ``table`` maps each column name, in order, to its cells: numbers (a numpy
+    array or a sequence), or text already formatted (a list of strings, a
+    numpy ``U`` or ``S`` array).  Every column has the same length.  ``table``
+    may instead be an iterable of such dicts, blocks of rows under the first
     block's names, written in turn.  Rows go out ``BLOCK_ROWS`` at a time,
-    each block written as one ``bytes``.  The first block is checked before the
-    output opens: a table with no block or no column raises ``ValueError``
-    and leaves no file.
+    each block written as one ``bytes``.  The first block is checked before
+    the output opens: a table with no block or no column raises
+    ``ValueError`` and leaves no file.
     """
     blocks = iter([table] if isinstance(table, dict) else table)
     first = next(blocks, None)

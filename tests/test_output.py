@@ -45,6 +45,32 @@ def test_format_column_integers_and_strings():
     assert format_column([]) == []
 
 
+@pytest.mark.parametrize("ints", [
+    np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]),
+    np.array([0, np.iinfo(np.uint64).max], dtype=np.uint64),
+    np.array([-128, -1, 0, 127], dtype=np.int8),
+], ids=["int64", "uint64", "int8"])
+def test_format_column_integer_extremes(ints):
+    assert format_column(ints) == [str(i) for i in ints.tolist()]
+
+
+def test_format_column_booleans_print_as_integers():
+    assert format_column(np.array([True, False, True])) == ["1", "0", "1"]
+
+
+def test_text_array_column_is_the_list_column(tmp_path):
+    # A numpy U array, which np.asarray makes of a list of str, is the same
+    # text as the list, UTF-8 encoded.
+    texts = ["MFM", "X", "é", ""]
+    assert format_column(np.array(texts)) == texts
+    written = []
+    for name, column in ("list", texts), ("array", np.array(texts)):
+        out = tmp_path / f"{name}.csv"
+        write_csv(str(out), {}, {"a": column, "t": np.arange(len(texts))})
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("cells", [1, 164, 720, 16_389])
 @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 10_000])
 def test_blocks_tile_the_range_in_order(count, cells):
