@@ -4,11 +4,12 @@ Every quantity runs on the coin-channel engine: the walker state is linear
 in the initial coin vector, so one ``walk.basis_walk`` and its QR factor R at
 each recorded step give the reduced coin density of every initial state
 (``_channel_reduction``).  ``_channel_factors`` walks once and returns
-``R[m, column]`` for every candidate and recorded step, and three paths
-index it: ``coin_densities`` for given ``(N, 2)`` arrays of ``(theta, phi)``
-and ``_sampled_sweep`` for seeded samples, both from one ``_coin_blocks``
-list, and ``_grid_groups`` for the grid of ``grid`` and the phase
-certificate; ``output._blocks`` cuts every block.  Each state's values are
+``R[m, column]`` for every candidate and recorded step, R at step t from the
+2t + 1 positions it can reach, so a t-step walk's R.  Three paths index it:
+``coin_densities`` for given ``(N, 2)`` arrays of ``(theta, phi)`` and
+``_sampled_sweep`` for seeded samples, both from one ``_coin_blocks`` list,
+and ``_grid_groups`` for the grid of ``grid`` and the phase certificate;
+``output._blocks`` cuts every block.  Each state's values are
 elementwise arithmetic on its own angles, bitwise independent of the rest
 of the batch.  Randomness enters only through ``sample_initial_states``,
 which draws every angle up front from a single seeded generator.
@@ -154,7 +155,7 @@ def _angle_arrays(states) -> tuple[NDArray, NDArray]:
 # ---------------------------------------------------------------------------
 
 
-def _channel_factors(sequences: Sequence[CoinSequence], steps: int, recorded: Sequence[int]) -> NDArray:
+def _channel_factors(sequences: Sequence[CoinSequence], recorded: Sequence[int]) -> NDArray:
     """The QR factor R of every candidate at every recorded step, ``(n, len(recorded), rows, 4)``.
 
     One ``basis_walk`` (``psi[m, coin, basis, position]``) gives, for
@@ -163,19 +164,22 @@ def _channel_factors(sequences: Sequence[CoinSequence], steps: int, recorded: Se
     ``[A0 A1] = Q [R0 R1]`` the populations and coherence of ``c`` are those
     of the at most six amplitudes ``R0 c``, ``R1 c``: the Gram matrices
     ``c^dag A0^dag A0 c`` etc. in square-root form, so a population that is
-    tiny through cancellation keeps its relative accuracy.  Candidates walk
-    in blocks of about ``BLOCK_ROWS`` values of walk state, 4 * (2*steps + 1)
-    a candidate, each recorded step one stacked QR of the block's ``[A0 A1]``
-    views of ``psi``.  R has 3 rows if ``steps`` is 1, else 4 (256 B).  The
-    walk stops at the last recorded step, in a window of ``2*steps + 1``
-    positions, so R's bits do not depend on where it stops.
+    tiny through cancellation keeps its relative accuracy.  The walk stops at
+    the last recorded step T; candidates walk in blocks of about
+    ``BLOCK_ROWS`` values of walk state, 4 * (2*T + 1) a candidate.  Step t's
+    QR is one stacked QR of the block's ``[A0 A1]`` views on the 2t + 1
+    positions ``|j| <= t`` its light cone reaches, so R at step t is bitwise
+    a t-step walk's, however far the walk goes.  R has 3 rows if T is 1, else
+    4 (256 B); at t = 1 the fourth is zero.
     """
-    factors = np.empty((len(sequences), len(recorded), min(2 * steps + 1, 4), 4), dtype=np.complex128)
+    steps = recorded[-1]
+    factors = np.zeros((len(sequences), len(recorded), min(2 * steps + 1, 4), 4), dtype=np.complex128)
     for group in _blocks(len(sequences), 4 * (2 * steps + 1)):
         walk = enumerate(basis_walk(sequences[group], steps), start=1)
         for column, step in enumerate(recorded):
             psi = next(psi for t, psi in walk if t == step)
-            factors[group, column] = np.linalg.qr(psi.reshape(len(psi), 4, -1).transpose(0, 2, 1), mode="r")
+            cone = psi[..., steps - step : steps + step + 1].reshape(len(psi), 4, -1).transpose(0, 2, 1)
+            factors[group, column, : 2 * step + 1] = np.linalg.qr(cone, mode="r")
     return factors
 
 
@@ -240,7 +244,7 @@ def coin_densities(
     """
     record_steps = _record_steps(steps, record_steps)
     coins = _coin_blocks(*_angle_arrays(states))
-    for r in _channel_factors([sequence], steps, record_steps)[0]:
+    for r in _channel_factors([sequence], record_steps)[0]:
         (pop0, pop1), coherence = np.empty((2, len(states))), np.empty(len(states), dtype=complex)
         for rows, coin0, coin1 in coins:
             pop0[rows], pop1[rows], coherence[rows] = _channel_reduction(r, coin0, coin1)
@@ -255,11 +259,11 @@ def _sampled_sweep(sequences: Sequence[CoinSequence], recorded: Sequence[int], s
     of ``_channel_factors`` is reduced on its own, a coin block at a time,
     into one ``(samples,)`` buffer of S, whose mean and std are then taken
     whole.  So the temporaries stay in cache, memory is 40 B a sample, 256 B
-    a candidate and step and O(BLOCK_ROWS), and a candidate's values are
-    bitwise those it gets walking alone, at any block size.
+    a candidate and step and O(BLOCK_ROWS), and a candidate's values at t
+    are bitwise those it gets walking alone to t, at any block size.
     """
     coins = _coin_blocks(*sample_initial_states(samples, seed).T)
-    factors = _channel_factors(sequences, recorded[-1], recorded)
+    factors = _channel_factors(sequences, recorded)
     mean_s, std_s = np.empty((2, *factors.shape[:2]))
     values = np.empty(samples)
     for index in np.ndindex(factors.shape[:2]):
@@ -363,7 +367,7 @@ def _grid_groups(sequence: CoinSequence, recorded: Sequence[int], theta_axis: ND
     step in turn, so no ``(theta, phi)`` cell array is built and memory does
     not grow with the grid; ``values`` has shape ``(rows, len(phi_axis))``.
     """
-    factors = _channel_factors([sequence], recorded[-1], recorded)[0]
+    factors = _channel_factors([sequence], recorded)[0]
     phases = np.exp(1j * phi_axis)
     for rows in _blocks(len(theta_axis), len(phi_axis)):
         coins = _initial_coins(theta_axis[rows, None], phases)
@@ -422,13 +426,9 @@ def compare_table(
     Rows are ordered by step, then descending mean, ties broken by label.
     Rows are keyed by label and step: a repeated label is walked once and
     gives one set of rows, a repeated step repeats its rows.  Memory is
-    O(samples + BLOCK_ROWS), and a candidate's means are bitwise those
-    it gets walking alone (``_sampled_sweep``).  Every candidate walks to
-    ``max(step_list)``, and R's bits depend on the walk's total length (its
-    QR sums over every window row), so a mean at t may differ in the last
-    bit with the other steps requested: the t = 7 mean of ``[7]`` and of
-    ``[7, 140]``.  A 12th-digit rounding boundary or a tie in the sort can
-    then flip a printed byte.
+    O(samples + BLOCK_ROWS).  A candidate's mean at t is bitwise the one it
+    gets walking alone to t, whatever other candidates and steps are asked
+    for (``_sampled_sweep``, ``_channel_factors``).
     """
     if not candidates:
         raise ValueError("need at least one candidate sequence")

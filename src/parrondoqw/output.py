@@ -42,9 +42,10 @@ infinities, |x| < 1e-3 (zero, -0.0 and subnormals included), values that
 round to 10 or more (the same text, only slower), and cells whose y lies
 exactly on a tie.  Every other column becomes a numpy ``S`` array, whose
 bytes are the cells: a ``U`` array (what ``np.asarray`` makes of a list of
-``str``) is UTF-8 encoded once, integers convert by ``astype("S")`` and
-booleans print as the integers 1 and 0.  Both writers write bytes to the
-file, or to stdout's buffer (decoded to a stdout with none).
+``str``) is UTF-8 encoded once and refused if a cell holds a comma, CR, LF
+or NUL, ``S`` cells are taken as they are, integers convert by ``astype("S")``
+and booleans print as 1 and 0.  Both writers write bytes to the file, or to
+stdout's buffer (decoded to a stdout with none).
 """
 
 from __future__ import annotations
@@ -127,14 +128,23 @@ def _split(values: np.ndarray, divisor):
     return high, values - high * divisor
 
 
-def _cells(values) -> np.ndarray:
-    """The NUL-padded ``(n, w)`` uint8 text matrix of one column: its ``S`` bytes, or its floats' cells."""
+def _column(values) -> np.ndarray:
+    """``values`` as an array of floats or of ``S`` cells, by the rules of the module docstring."""
     array = np.asarray(values)
     kind = array.dtype.kind
     if kind == "U":
-        array = np.array([text.encode() for text in array.tolist()], dtype="S")
-    elif kind in "biu":
-        array = (array.view(np.uint8) if kind == "b" else array).astype("S")
+        texts = array.tolist()
+        if bad := [text for text in texts if not {",", "\r", "\n", "\0"}.isdisjoint(text)]:
+            raise ValueError(f"a text cell may not hold a comma, CR, LF or NUL, got {bad[0]!r}")
+        return np.array([text.encode() for text in texts], dtype="S")
+    if kind in "biu":
+        return (array.view(np.uint8) if kind == "b" else array).astype("S")
+    return array
+
+
+def _cells(values) -> np.ndarray:
+    """The NUL-padded ``(n, w)`` uint8 text matrix of one column: its ``S`` bytes, or its floats' cells."""
+    array = _column(values)
     if array.dtype.kind == "S":
         return array.view(np.uint8).reshape(len(array), array.itemsize)
     return _number_cells(array.astype(np.float64, copy=False)) if len(array) else np.zeros((0, 0), np.uint8)
@@ -196,7 +206,8 @@ def format_column(values) -> list[str]:
     ``%.11e`` when ``|x| < 1e-3`` (zero, -0.0 and subnormals included); nan
     and the infinities print as ``nan``, ``inf`` and ``-inf``.  Integers
     print as integers, booleans as 1 and 0.  Text (a numpy ``U`` or ``S``
-    array) is its own cells; a list of strings passes through unchanged.
+    array) is its own cells (``U`` ones refused as in ``write_csv``); a list
+    of strings passes through unchanged.
     """
     if isinstance(values, list) and values and isinstance(values[0], str):
         return values
@@ -224,11 +235,13 @@ def _binary_out(path: str | None):
             yield stream.write
 
 
-def _columns(block: dict[str, Sequence]) -> list[Sequence]:
-    """The columns of one block of rows, refused when there are none or they differ in length."""
-    columns = list(block.values())
+def _columns(block: dict[str, Sequence], names: list[str]) -> list[np.ndarray]:
+    """The columns of one block of rows, refused when there are none, they are not ``names`` or differ in length."""
+    columns = [_column(column) for column in block.values()]
     if not columns:
         raise ValueError("a table needs at least one column")
+    if list(block) != names:
+        raise ValueError(f"a block's columns {list(block)} are not the first block's {names}")
     if any(len(column) != len(columns[0]) for column in columns):
         raise ValueError(f"columns differ in length: {[len(column) for column in columns]}")
     return columns
@@ -242,19 +255,21 @@ def write_csv(path: str | None, manifest: dict, table: dict | Iterable[dict]) ->
     numpy ``U`` or ``S`` array).  Every column has the same length.  ``table``
     may instead be an iterable of such dicts, blocks of rows under the first
     block's names, written in turn.  Rows go out ``BLOCK_ROWS`` at a time,
-    each block written as one ``bytes``.  The first block is checked before
-    the output opens: a table with no block or no column raises
-    ``ValueError`` and leaves no file.
+    each block written as one ``bytes``.  ``ValueError`` refuses a table with
+    no block, and a block with no column, other names than the first block's,
+    ragged columns or ``str`` text holding a comma, CR, LF or NUL: each block
+    before it is written, the first before the output opens.
     """
     blocks = iter([table] if isinstance(table, dict) else table)
     first = next(blocks, None)
     if first is None:
         raise ValueError("a table needs at least one block of rows")
-    checked = _columns(first)
+    names = list(first)
+    checked = _columns(first, names)
     with _binary_out(path) as write:
-        head = f"# manifest: {json.dumps(manifest, sort_keys=True)}\n" + ",".join(first) + "\n"
+        head = f"# manifest: {json.dumps(manifest, sort_keys=True)}\n" + ",".join(names) + "\n"
         write(head.encode())
-        for columns in itertools.chain([checked], map(_columns, blocks)):
+        for columns in itertools.chain([checked], (_columns(block, names) for block in blocks)):
             for rows in _blocks(len(columns[0])):
                 cells = [_cells(column[rows]) for column in columns]
                 write(_joined(cells))

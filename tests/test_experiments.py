@@ -143,8 +143,9 @@ def test_trajectories_record_steps_subset():
 
 
 def test_coin_densities_walk_stops_at_the_last_recorded_step(monkeypatch):
-    # The walk's window is that of all 40 steps, so the recorded steps' bits
-    # are those of the full run, but no step after the last one is walked.
+    # Each recorded step's QR reads only the positions that step reaches, so
+    # the recorded steps' bits are those of the full run, but no step after
+    # the last one is walked.
     states = sample_initial_states(300, seed=8)
     full = list(coin_densities(states, parse("MMF"), 40))
     yields, walk = [], experiments.basis_walk
@@ -167,11 +168,34 @@ def test_channel_factors_keep_the_total_population(recorded):
     # P0 + P1 = I on the engine's own output: with [A0 A1] = Q [R0 R1],
     # R0^dag R0 + R1^dag R1 = A0^dag A0 + A1^dag A1, the identity for a walk
     # that keeps every initial coin normalized.
-    factors = _channel_factors(enumerate_patterns("HFMX", 3), recorded[-1], recorded)
+    factors = _channel_factors(enumerate_patterns("HFMX", 3), recorded)
     assert factors.shape == (76, len(recorded), 3 if recorded == [1] else 4, 4)
     r0, r1 = factors[..., :2], factors[..., 2:]
     gram = np.einsum("...ki,...kj->...ij", r0.conj(), r0) + np.einsum("...ki,...kj->...ij", r1.conj(), r1)
     assert np.max(np.abs(gram - np.eye(2))) < 1e-13
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 7, 20, 60])
+def test_channel_factors_at_t_are_those_of_a_walk_of_t_steps(t):
+    # Each recorded step's QR reads only the 2t+1 positions its light cone
+    # reaches, so R at t does not depend on how far the walk goes: bitwise,
+    # sign bits included, with the rows past a short R zero.
+    patterns = enumerate_patterns("HFMX", 3)
+    alone = _channel_factors(patterns, [t])[:, 0]
+    for length in (t + 5, 140):
+        walked_on = _channel_factors(patterns, [t, length])[:, 0]
+        assert walked_on[:, : alone.shape[1]].tobytes() == alone.tobytes(), length
+        assert not walked_on[:, alone.shape[1]:].any()
+
+
+def test_coin_densities_at_t_do_not_depend_on_steps():
+    states = sample_initial_states(500, seed=4)
+    for label in ("MMF", "HXMFMX", "HHH", "FMX", "HFX"):
+        for t in (1, 2, 3, 7, 20, 60):
+            (long_walk,) = coin_densities(states, parse(label), 140, [t])
+            (short_walk,) = coin_densities(states, parse(label), t, [t])
+            for values, reference in zip(long_walk, short_walk, strict=True):
+                assert np.array_equal(values, reference), (label, t)
 
 
 def test_trajectories_record_steps_validation():
@@ -602,6 +626,13 @@ def test_candidates_bitwise_independent_of_their_batch():
     for key, value in batched.items():
         assert alone[key] == value, key
         assert reversed_order[key] == value, key
+
+
+def test_compare_table_mean_at_t_does_not_depend_on_other_steps():
+    candidates = enumerate_patterns("HFMX", 3)
+    alone = {r.sequence_label: r.mean_s for r in compare_table(candidates, [7], 1000, 1)}
+    beside = {r.sequence_label: r.mean_s for r in compare_table(candidates, [7, 140], 1000, 1) if r.t == 7}
+    assert beside == alone
 
 
 def test_compare_table_walks_a_repeated_label_once():

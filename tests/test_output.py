@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ def test_write_csv_refuses_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="columns differ in length"):
         write_csv(str(out), {}, {"a": [1, 2], "b": [1.0]})
     assert not out.exists()
+
+
+@pytest.mark.parametrize("later", [{"a": [3]}, {"x": [4], "y": [5], "z": [6]}, {"b": [4], "a": [3]}],
+                         ids=["fewer", "other", "reordered"])
+def test_write_csv_refuses_a_block_under_other_names(tmp_path, later):
+    out = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{list(later)} are not the first block's ['a', 'b']")):
+        write_csv(str(out), {}, iter([{"a": [1], "b": [2]}, later]))
+
+
+@pytest.mark.parametrize("separator", [",", "\r", "\n", "\0"], ids=["comma", "CR", "LF", "NUL"])
+def test_text_cells_holding_a_separator_are_refused(tmp_path, separator):
+    texts = [f"a{separator}b", "c"]
+    for column in texts, np.array(texts):
+        out = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="may not hold a comma, CR, LF or NUL"):
+            write_csv(str(out), {}, {"x": column, "t": [1, 2]})
+        assert not out.exists()
+    with pytest.raises(ValueError, match="may not hold a comma, CR, LF or NUL"):
+        format_column(np.array(texts))
 
 
 def written_cells(tmp_path, values):
