@@ -19,6 +19,7 @@ stderr.  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from typing import Sequence
@@ -29,6 +30,7 @@ from . import __version__
 from .entanglement import MAX_SCHMIDT_NORM, eigenvalues_from
 from .experiments import (
     TWO_PI,
+    AverageTrajectory,
     _angle_arrays,
     _grid_axes,
     _grid_groups,
@@ -38,7 +40,7 @@ from .experiments import (
     log_fit,
     parrondo_check,
 )
-from .output import format_column, read_average_csv, write_csv, write_json
+from .output import format_column, write_csv, write_json
 from .sequences import enumerate_patterns, parse
 
 __all__ = ["main"]
@@ -208,6 +210,84 @@ def _cmd_average(args) -> None:
         "std_S": traj.std_s,
         "mean_S_over_sqrt2": traj.mean_s / MAX_SCHMIDT_NORM,
     })
+
+
+def _finite(text: str) -> float:
+    """``json.loads`` hook: a number, rejected when it is not finite (``1e400``, ``NaN``)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def read_average_csv(path: str):
+    """Load a trajectory CSV written by the ``average`` command.
+
+    Returns (manifest_or_None, AverageTrajectory).  Raises ValueError on
+    malformed input (a manifest that is not a JSON object of finite numbers,
+    missing columns, non-numeric or non-finite cells, no data rows, a ``t``
+    that is not a positive integer below 2**63 or does not increase from row
+    to row).
+    """
+    manifest = None
+    header: list[str] | None = None
+    data: list[list[float]] = []
+    bad_t = None  # the first bad t, raised once the rows are known to be well formed
+    previous = 0.0
+    with open(path, "r", encoding="utf-8") as stream:
+        for line_no, raw in enumerate(stream, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                comment = line.lstrip("#").strip()
+                if comment.startswith("manifest:"):
+                    try:
+                        manifest = json.loads(
+                            comment[len("manifest:"):], parse_float=_finite, parse_constant=_finite
+                        )
+                    except (ValueError, RecursionError):
+                        manifest = None
+                    if not isinstance(manifest, dict):
+                        raise ValueError(f"{path}:{line_no}: malformed manifest")
+                continue
+            if header is None:
+                header = [c.strip() for c in line.split(",")]
+                continue
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{path}:{line_no}: expected {len(header)} columns, got {len(cells)}")
+            try:
+                values = [float(c) for c in cells]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: non-numeric cell ({exc})") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}:{line_no}: non-finite cell in {line!r}")
+            data.append(values)
+            if bad_t is None and "t" in header:
+                t = values[header.index("t")]
+                if t < 1 or t != math.floor(t):
+                    bad_t = f"{path}:{line_no}: t must be a positive integer, got {t!r}"
+                elif t >= 2**63:
+                    bad_t = f"{path}:{line_no}: t must be below 2**63, got {t!r}"
+                elif t <= previous:
+                    bad_t = f"{path}:{line_no}: t must increase from row to row, got {t:g} after {previous:g}"
+                previous = t
+    if header is None or not data:
+        raise ValueError(f"{path}: no trajectory data found")
+    for required in ("t", "mean_S"):
+        if required not in header:
+            raise ValueError(f"{path}: missing required column {required!r}")
+    if bad_t is not None:
+        raise ValueError(bad_t)
+    table = np.asarray(data)
+    mean_col = header.index("mean_S")
+    std = table[:, header.index("std_S")] if "std_S" in header else np.zeros(table.shape[0])
+    return manifest, AverageTrajectory(
+        steps=table[:, header.index("t")].astype(int),
+        mean_s=table[:, mean_col],
+        std_s=std,
+    )
 
 
 def _cmd_fit(args) -> None:

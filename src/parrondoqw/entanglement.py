@@ -17,9 +17,9 @@ S is 1 for a product state and sqrt(2) for a maximally entangled one.  The
 eigenvalues always come from this closed form, never a generic eigensolver:
 it is exact, branch-free, and vectorizes.
 
-The populations and coherence of every walk come from
-``experiments._channel_reduction``, through ``coin_densities``, the sampled
-sweep and the grid groups; this module turns them into eigenvalues and S.
+The populations and coherence of every walk come from the coin channel's
+``walk._channel_reduction``, through ``coin_densities``, the sampled sweep
+and the grid groups; this module turns them into eigenvalues and S.
 
 Numerical form: with ``det = pop0*pop1 - |coherence|^2`` (the determinant of
 rho_C, clamped into [0, 1/4]) the eigenvalues are evaluated as

@@ -1,18 +1,18 @@
 """Experiment protocols: averaging sweeps, grids, fits, and sequence comparisons.
 
-Every quantity runs on the coin-channel engine: the walker state is linear
-in the initial coin vector, so one ``walk.basis_walk`` and its QR factor R at
-each recorded step give the reduced coin density of every initial state
-(``_channel_reduction``).  ``_channel_factors`` walks once and returns
-``R[m, column]`` for every candidate and recorded step, R at step t from the
-2t + 1 positions it can reach, so a t-step walk's R.  Three paths index it:
-``coin_densities`` for given ``(N, 2)`` arrays of ``(theta, phi)`` and
-``_sampled_sweep`` for seeded samples, both from one ``_coin_blocks`` list,
-and ``_grid_groups`` for the grid of ``grid`` and the phase certificate;
-``output._blocks`` cuts every block.  Each state's values are
-elementwise arithmetic on its own angles, bitwise independent of the rest
-of the batch.  Randomness enters only through ``sample_initial_states``,
-which draws every angle up front from a single seeded generator.
+This module holds the initial states, their coin blocks, the three loops
+that reduce the coin channel against them, and the protocols on those loops.
+The channel is ``walk``'s: ``walk._channel_factors`` gives the QR factor R of
+every candidate at every recorded step, and ``walk._channel_reduction`` the
+reduced coin density that R gives each initial coin.  ``coin_densities``
+reads R for given ``(N, 2)`` arrays of ``(theta, phi)`` and ``_sampled_sweep``
+for seeded samples, both from one ``_coin_blocks`` list, and ``_grid_groups``
+for the grid of ``grid`` and the phase certificate.  ``_record_steps`` is the
+one rule for the steps they record; ``output._blocks`` cuts every block.
+Each state's values are elementwise arithmetic on its own angles, bitwise
+independent of the rest of the batch.  Randomness enters only through
+``sample_initial_states``, which draws every angle up front from a single
+seeded generator.
 
 Fairness rule for comparisons: every sampled mean comes from
 ``_sampled_sweep``, which evolves one shared (seed-determined) initial-state
@@ -32,7 +32,7 @@ from numpy.typing import NDArray
 from .entanglement import MAX_SCHMIDT_NORM, schmidt_norm_from
 from .output import _blocks
 from .sequences import CoinSequence
-from .walk import basis_walk
+from .walk import _channel_factors, _channel_reduction
 
 __all__ = [
     "AverageTrajectory",
@@ -151,70 +151,21 @@ def _angle_arrays(states) -> tuple[NDArray, NDArray]:
 
 
 # ---------------------------------------------------------------------------
-# Coin-channel engine.
+# Recorded steps, coin blocks and the loops that reduce the coin channel.
 # ---------------------------------------------------------------------------
 
 
-def _channel_factors(sequences: Sequence[CoinSequence], recorded: Sequence[int]) -> NDArray:
-    """The QR factor R of every candidate at every recorded step, ``(n, len(recorded), rows, 4)``.
-
-    One ``basis_walk`` (``psi[m, coin, basis, position]``) gives, for
-    candidate m, coin planes ``A0 c`` and ``A1 c``, column k of A0 / A1 being
-    ``psi[m, 0, k]`` / ``psi[m, 1, k]``.  With the QR factorization
-    ``[A0 A1] = Q [R0 R1]`` the populations and coherence of ``c`` are those
-    of the at most six amplitudes ``R0 c``, ``R1 c``: the Gram matrices
-    ``c^dag A0^dag A0 c`` etc. in square-root form, so a population that is
-    tiny through cancellation keeps its relative accuracy.  The walk stops at
-    the last recorded step T; candidates walk in blocks of about
-    ``BLOCK_ROWS`` values of walk state, 4 * (2*T + 1) a candidate.  Step t's
-    QR is one stacked QR of the block's ``[A0 A1]`` views on the 2t + 1
-    positions ``|j| <= t`` its light cone reaches, so R at step t is bitwise
-    a t-step walk's, however far the walk goes.  R has 3 rows if T is 1, else
-    4 (256 B); at t = 1 the fourth is zero.
-    """
-    steps = recorded[-1]
-    factors = np.zeros((len(sequences), len(recorded), min(2 * steps + 1, 4), 4), dtype=np.complex128)
-    for group in _blocks(len(sequences), 4 * (2 * steps + 1)):
-        walk = enumerate(basis_walk(sequences[group], steps), start=1)
-        for column, step in enumerate(recorded):
-            psi = next(psi for t, psi in walk if t == step)
-            cone = psi[..., steps - step : steps + step + 1].reshape(len(psi), 4, -1).transpose(0, 2, 1)
-            factors[group, column, : 2 * step + 1] = np.linalg.qr(cone, mode="r")
-    return factors
-
-
-def _channel_reduction(r, coin0, coin1):
-    """pop0, pop1 and coherence of the amplitudes ``R0 c``, ``R1 c``, elementwise over samples.
-
-    Row k of one candidate's ``r`` gives component k of ``R1 c`` from its
-    columns 2-3, and for k < 2 that of ``R0 c`` from 0-1 (zero in the rows below).
-    The product is ``np.multiply``, not ``*``: numpy computes ``a * temporary``
-    in place for temporaries of 256 KiB and more, and rounds that complex
-    product differently, so a value would depend on the size of its batch.
-    """
-    pop0 = pop1 = coherence = 0.0
-    for k, row in enumerate(r):
-        amp1 = row[2] * coin0 + row[3] * coin1
-        pop1 = pop1 + (amp1.real**2 + amp1.imag**2)
-        if k < 2:
-            amp0 = row[0] * coin0 + row[1] * coin1
-            pop0 = pop0 + (amp0.real**2 + amp0.imag**2)
-            coherence = coherence + np.multiply(amp0, np.conj(amp1))
-    return pop0, pop1, coherence
-
-
-def _record_steps(steps: int, record_steps: Iterable[int] | None) -> Sequence[int]:
-    """The validated steps to record: every step 1..steps by default."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if record_steps is None:
-        return range(1, steps + 1)
-    record_steps = list(record_steps)
-    if not record_steps or any(b <= a for a, b in zip(record_steps, record_steps[1:])):
-        raise ValueError("record_steps must be nonempty and strictly increasing")
-    if record_steps[0] < 1 or record_steps[-1] > steps:
-        raise ValueError(f"record_steps must lie within 1..{steps}")
-    return record_steps
+def _record_steps(steps: int | Iterable[int]) -> Sequence[int]:
+    """Steps to record, each read by ``operator.index``: a lazy ``range(1, steps + 1)``, or the increasing steps given."""
+    try:
+        recorded = range(1, operator.index(steps) + 1)
+    except TypeError:
+        recorded = [operator.index(step) for step in steps]
+        if not recorded or any(b <= a for a, b in zip(recorded, recorded[1:])):
+            raise ValueError("recorded steps must be nonempty and strictly increasing") from None
+    if not recorded or recorded[0] < 1:
+        raise ValueError(f"steps must be >= 1, got {recorded[0] if recorded else steps}")
+    return recorded
 
 
 def _initial_coins(thetas, phases) -> tuple[NDArray, NDArray]:
@@ -227,24 +178,19 @@ def _coin_blocks(thetas, phis) -> list[tuple[slice, NDArray, NDArray]]:
     return [(rows, *_initial_coins(thetas[rows], np.exp(1j * phis[rows]))) for rows in _blocks(len(thetas))]
 
 
-def coin_densities(
-    states,
-    sequence: CoinSequence,
-    steps: int,
-    record_steps: Sequence[int] | None = None,
-):
+def coin_densities(states, sequence: CoinSequence, steps: int | Sequence[int]):
     """Yield ``(pop0, pop1, coherence)`` of every state, one recorded step at a time.
 
     ``states`` is an (N, 2) array, or nested list, of (theta, phi) rows with
-    theta in [0, pi]; each yielded array has shape (N,).  ``record_steps``
-    defaults to every step 1..steps; otherwise it must be a strictly
-    increasing subset of that range; the walk stops at the last.  A step's
+    theta in [0, pi]; each yielded array has shape (N,).  ``steps`` is an
+    integer, to record every step 1..steps, or a strictly increasing list of
+    the steps to record; the walk stops at the last.  A step's
     arrays fill one coin block at a time, and only one step's values are
     alive at a time, so a consumer that reduces each step keeps O(N) memory.
     """
-    record_steps = _record_steps(steps, record_steps)
+    recorded = _record_steps(steps)
     coins = _coin_blocks(*_angle_arrays(states))
-    for r in _channel_factors([sequence], record_steps)[0]:
+    for r in _channel_factors([sequence], recorded)[0]:
         (pop0, pop1), coherence = np.empty((2, len(states))), np.empty(len(states), dtype=complex)
         for rows, coin0, coin1 in coins:
             pop0[rows], pop1[rows], coherence[rows] = _channel_reduction(r, coin0, coin1)
@@ -291,7 +237,7 @@ def average_schmidt(
     alongside the mean so tolerances stay auditable.  Each step's S values
     are reduced as they come, so memory is O(samples), not O(steps*samples).
     """
-    mean_s, std_s = _sampled_sweep([sequence], _record_steps(steps, None), samples, seed)
+    mean_s, std_s = _sampled_sweep([sequence], _record_steps(steps), samples, seed)
     return AverageTrajectory(steps=np.arange(1, steps + 1), mean_s=mean_s[0], std_s=std_s[0])
 
 
@@ -388,7 +334,7 @@ def phase_independence_certificate(
     streams from ``_grid_groups``, so memory does not grow with it.
     """
     theta_axis, phi_axis = _grid_axes(theta_samples, phi_samples)
-    recorded = _record_steps(t_max, None)
+    recorded = _record_steps(t_max)
     deviations = np.zeros(t_max)
     for column, _, grid in _grid_groups(sequence, recorded, theta_axis, phi_axis):
         deviations[column] = np.maximum(deviations[column], np.max(np.abs(grid - grid[:, :1])))
@@ -411,7 +357,7 @@ def parrondo_check(
     for seq, role in ((seq_a, "a"), (seq_b, "b")):
         if not seq.is_single_coin():
             raise ValueError(f"baseline sequence {role!r} must be single-coin, got {seq.label!r}")
-    means, _ = _sampled_sweep([seq_ab, seq_a, seq_b], _record_steps(t, [t]), samples, seed)
+    means, _ = _sampled_sweep([seq_ab, seq_a, seq_b], _record_steps([t]), samples, seed)
     return ParrondoReport(*means[:, 0].tolist())
 
 
@@ -434,7 +380,7 @@ def compare_table(
         raise ValueError("need at least one candidate sequence")
     if not step_list:
         raise ValueError("need at least one step value")
-    recorded = _record_steps(max(step_list), sorted(set(step_list)))
+    recorded = _record_steps(sorted(set(step_list)))
     distinct = list({seq.label: seq for seq in candidates}.values())
     means, _ = _sampled_sweep(distinct, recorded, samples, seed)
     rows = [

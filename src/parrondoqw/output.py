@@ -6,7 +6,8 @@ column-name row, then data rows.  A CSV table comes in as columns (or blocks
 of them) and goes out in blocks of ``BLOCK_ROWS`` rows.  JSON floats are
 rounded to the same 12 digits, and a JSON payload that is not finite is
 refused before any file opens.  Nothing time- or machine-dependent is ever
-written, so identical invocations produce byte-identical files.
+written, so identical invocations produce byte-identical files.  The module
+is a leaf: it imports nothing from the package.
 
 The number rule is ``%.12g``, except ``%.11e`` below 1e-3; integers print as
 integers.  ``_cells`` holds it once, for ``format_column`` and ``write_csv``
@@ -45,7 +46,8 @@ bytes are the cells: a ``U`` array (what ``np.asarray`` makes of a list of
 ``str``) is UTF-8 encoded once and refused if a cell holds a comma, CR, LF
 or NUL, ``S`` cells are taken as they are, integers convert by ``astype("S")``
 and booleans print as 1 and 0.  Both writers write bytes to the file, or to
-stdout's buffer (decoded to a stdout with none).
+stdout's buffer (decoded to a stdout with none); a regular file whose writing
+raises is removed.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import math
+import os
+import stat
 import sys
 from typing import Iterable, Iterator, Sequence
 
@@ -63,7 +66,6 @@ __all__ = [
     "format_column",
     "write_csv",
     "write_json",
-    "read_average_csv",
 ]
 
 #: Rows formatted and written at a time, states or grid cells reduced at a
@@ -206,20 +208,10 @@ def format_column(values) -> list[str]:
     ``%.11e`` when ``|x| < 1e-3`` (zero, -0.0 and subnormals included); nan
     and the infinities print as ``nan``, ``inf`` and ``-inf``.  Integers
     print as integers, booleans as 1 and 0.  Text (a numpy ``U`` or ``S``
-    array) is its own cells (``U`` ones refused as in ``write_csv``); a list
-    of strings passes through unchanged.
+    array, or a list of ``str``) is its own cells, refused as in
+    ``write_csv`` when a ``str`` cell holds a comma, CR, LF or NUL.
     """
-    if isinstance(values, list) and values and isinstance(values[0], str):
-        return values
     return _joined([_cells(values)]).decode().split("\n")[:-1]
-
-
-def _finite(text: str) -> float:
-    """``json.loads`` hook: a number, rejected when it is not finite (``1e400``, ``NaN``)."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
 
 
 @contextlib.contextmanager
@@ -232,7 +224,13 @@ def _binary_out(path: str | None):
         stream.flush()
     else:
         with open(path, "wb") as stream:
-            yield stream.write
+            try:
+                yield stream.write
+            except BaseException:
+                # A table cut short must not look whole; stdout, a pipe or a device stays.
+                if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                    os.unlink(path)
+                raise
 
 
 def _columns(block: dict[str, Sequence], names: list[str]) -> list[np.ndarray]:
@@ -295,81 +293,3 @@ def _rounded(node):
     if isinstance(node, float):
         return float(f"{node:.12g}")
     return node
-
-
-def read_average_csv(path: str):
-    """Load a trajectory CSV written by the ``average`` command.
-
-    Returns (manifest_or_None, AverageTrajectory).  Raises ValueError on
-    malformed input (a manifest that is not a JSON object of finite numbers,
-    missing columns, non-numeric or non-finite cells, no data rows, a ``t``
-    that is not a positive integer below 2**63 or does not increase from row
-    to row).
-    """
-    from .experiments import AverageTrajectory
-
-    manifest = None
-    header: list[str] | None = None
-    data: list[list[float]] = []
-    bad_t = None  # the first bad t, raised once the rows are known to be well formed
-    previous = 0.0
-    with open(path, "r", encoding="utf-8") as stream:
-        for line_no, raw in enumerate(stream, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comment = line.lstrip("#").strip()
-                if comment.startswith("manifest:"):
-                    try:
-                        manifest = json.loads(
-                            comment[len("manifest:"):], parse_float=_finite, parse_constant=_finite
-                        )
-                    except (ValueError, RecursionError):
-                        manifest = None
-                    if not isinstance(manifest, dict):
-                        raise ValueError(f"{path}:{line_no}: malformed manifest")
-                continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-                continue
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise ValueError(
-                    f"{path}:{line_no}: expected {len(header)} columns, got {len(cells)}"
-                )
-            try:
-                values = [float(c) for c in cells]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: non-numeric cell ({exc})") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{path}:{line_no}: non-finite cell in {line!r}")
-            data.append(values)
-            if bad_t is None and "t" in header:
-                t = values[header.index("t")]
-                if t < 1 or t != math.floor(t):
-                    bad_t = f"{path}:{line_no}: t must be a positive integer, got {t!r}"
-                elif t >= 2**63:
-                    bad_t = f"{path}:{line_no}: t must be below 2**63, got {t!r}"
-                elif t <= previous:
-                    bad_t = f"{path}:{line_no}: t must increase from row to row, got {t:g} after {previous:g}"
-                previous = t
-    if header is None or not data:
-        raise ValueError(f"{path}: no trajectory data found")
-    for required in ("t", "mean_S"):
-        if required not in header:
-            raise ValueError(f"{path}: missing required column {required!r}")
-    if bad_t is not None:
-        raise ValueError(bad_t)
-    table = np.asarray(data)
-    mean_col = header.index("mean_S")
-    std = (
-        table[:, header.index("std_S")]
-        if "std_S" in header
-        else np.zeros(table.shape[0])
-    )
-    return manifest, AverageTrajectory(
-        steps=table[:, header.index("t")].astype(int),
-        mean_s=table[:, mean_col],
-        std_s=std,
-    )

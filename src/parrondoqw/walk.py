@@ -1,4 +1,4 @@
-"""Coin-then-shift evolution of the 1D discrete-time quantum walk.
+"""The 1D discrete-time quantum walk, the QR factor of its light cone and the coin densities it gives.
 
 The walker lives on a bounded lattice of positions ``-R..+R`` with a two-level
 coin.  ``basis_walk`` holds the walks of several coin sequences, each from
@@ -21,10 +21,12 @@ and coin-1 amplitude left with no mixing at all.
 The evolution is linear in the initial coin vector ``c``, so walking the two
 basis coins suffices: the walk from any initial state is ``c[0]`` times the
 first plus ``c[1]`` times the second.  ``basis_walk`` is the package's one
-evolution: every sweep and ``trace`` read it, and the dense oracle in
-``parrondoqw.oracles`` is checked against it.  Initial states enter only as
-coin amplitudes in ``experiments._channel_reduction``.  Candidates never mix,
-so each one's planes are those it gets alone.
+evolution, checked against the dense oracle in ``parrondoqw.oracles``.  The
+coin channel that every sweep and ``trace`` read is here too:
+``_channel_factors`` keeps the QR factor R of each recorded step's light
+cone, and ``_channel_reduction`` the densities R gives initial coins, the
+only place initial states enter.  Candidates never mix, so each one's planes
+are those it gets alone.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .coins import ALPHABET, named_coin
+from .output import _blocks
 from .sequences import CoinSequence
 
 __all__ = ["basis_walk"]
@@ -92,3 +96,51 @@ def basis_walk(sequences: Sequence[CoinSequence], steps: int):
         np.multiply(coin[0, 1], amp1, out=product)
         psi[:, 1, :, :-1] = np.add(mixed, product, out=mixed)[..., 1:]
         yield psi
+
+
+def _channel_factors(sequences: Sequence[CoinSequence], recorded: Sequence[int]) -> NDArray:
+    """The QR factor R of every candidate at every recorded step, ``(n, len(recorded), rows, 4)``.
+
+    One ``basis_walk`` (``psi[m, coin, basis, position]``) gives, for
+    candidate m, coin planes ``A0 c`` and ``A1 c``, column k of A0 / A1 being
+    ``psi[m, 0, k]`` / ``psi[m, 1, k]``.  With the QR factorization
+    ``[A0 A1] = Q [R0 R1]`` the populations and coherence of ``c`` are those
+    of the at most six amplitudes ``R0 c``, ``R1 c``: the Gram matrices
+    ``c^dag A0^dag A0 c`` etc. in square-root form, so a population that is
+    tiny through cancellation keeps its relative accuracy.  The walk stops at
+    the last recorded step T; candidates walk in blocks of about
+    ``BLOCK_ROWS`` values of walk state, 4 * (2*T + 1) a candidate.  Step t's
+    QR is one stacked QR of the block's ``[A0 A1]`` views on the 2t + 1
+    positions ``|j| <= t`` its light cone reaches, so R at step t is bitwise
+    a t-step walk's, however far the walk goes.  R has 3 rows if T is 1, else
+    4 (256 B); at t = 1 the fourth is zero.
+    """
+    steps = recorded[-1]
+    factors = np.zeros((len(sequences), len(recorded), min(2 * steps + 1, 4), 4), dtype=np.complex128)
+    for group in _blocks(len(sequences), 4 * (2 * steps + 1)):
+        walk = enumerate(basis_walk(sequences[group], steps), start=1)
+        for column, step in enumerate(recorded):
+            psi = next(psi for t, psi in walk if t == step)
+            cone = psi[..., steps - step : steps + step + 1].reshape(len(psi), 4, -1).transpose(0, 2, 1)
+            factors[group, column, : 2 * step + 1] = np.linalg.qr(cone, mode="r")
+    return factors
+
+
+def _channel_reduction(r, coin0, coin1):
+    """pop0, pop1 and coherence of the amplitudes ``R0 c``, ``R1 c``, elementwise over samples.
+
+    Row k of one candidate's ``r`` gives component k of ``R1 c`` from its
+    columns 2-3, and for k < 2 that of ``R0 c`` from 0-1 (zero in the rows below).
+    The product is ``np.multiply``, not ``*``: numpy computes ``a * temporary``
+    in place for temporaries of 256 KiB and more, and rounds that complex
+    product differently, so a value would depend on the size of its batch.
+    """
+    pop0 = pop1 = coherence = 0.0
+    for k, row in enumerate(r):
+        amp1 = row[2] * coin0 + row[3] * coin1
+        pop1 = pop1 + (amp1.real**2 + amp1.imag**2)
+        if k < 2:
+            amp0 = row[0] * coin0 + row[1] * coin1
+            pop0 = pop0 + (amp0.real**2 + amp0.imag**2)
+            coherence = coherence + np.multiply(amp0, np.conj(amp1))
+    return pop0, pop1, coherence

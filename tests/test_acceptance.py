@@ -30,7 +30,7 @@ GRID_THETA, GRID_PHI = 37, 72
 
 def _stacked_schmidt(states, sequence, steps, record_steps=None):
     """S of every state at the recorded steps, one row per step, from the engine's stream."""
-    densities = coin_densities(states, sequence, steps, record_steps)
+    densities = coin_densities(states, sequence, steps if record_steps is None else record_steps)
     return np.array([schmidt_norm_from(*d) for d in densities])
 
 

@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from parrondoqw.cli import _int_at_least, _label_list, _positive_int_list, main
@@ -713,3 +713,70 @@ def test_label_list_returns_or_raises_argument_type_error(text):
         return
     assert labels and all(label and label == label.strip() for label in labels)
 
+
+
+# ---------------------------------------------------------------------------
+# whole runs on generated argv
+# ---------------------------------------------------------------------------
+
+_LABELS = st.one_of(st.text(alphabet="HFMX", min_size=1, max_size=4),
+                    st.sampled_from(["", " ", "Q", "hfx", "H X", "XXH,", "é"]))
+_ANGLES = st.one_of(st.floats(0.0, 3.0).map(repr), st.floats(-1.0, 200.0).map(repr),
+                    st.sampled_from(["nan", "-1e-17", "inf", "-inf", "1e400", "181", "-181", "720", "pi", ""]))
+# Every value that sets a step count stays small, so no run walks for long.
+_STEPS = st.integers(-1, 8).map(str)
+_SMALL = st.integers(-1, 40).map(str)
+
+
+def _lists(values):
+    return st.lists(values, min_size=1, max_size=3).map(",".join)
+
+
+def _flags(required, optional=()):
+    """argv of every ``required`` flag and any of the ``optional`` ones, each with a drawn value."""
+    parts = [st.tuples(st.just(flag), values) for flag, values in required]
+    parts += [st.one_of(st.just(()), st.tuples(st.just(flag), values)) for flag, values in optional]
+    return st.tuples(*parts).map(lambda pairs: [arg for pair in pairs for arg in pair])
+
+
+_RUNS = {
+    "trace": _flags([("--seq", _LABELS), ("--theta", _ANGLES), ("--steps", _STEPS)],
+                    [("--phi", _ANGLES), ("--degrees", st.just("--degrees"))]),
+    "average": _flags([("--seq", _LABELS), ("--steps", _STEPS)],
+                      [("--samples", _SMALL), ("--seed", _SMALL), ("--threads", _SMALL)]),
+    "fit": _flags([("--in", st.sampled_from(["log.csv", "missing.csv", "junk.csv"]))],
+                  [("--tmin", _SMALL), ("--extrapolate", _lists(_SMALL))]),
+    "grid": _flags([("--seq", _LABELS), ("--t", _STEPS)],
+                   [("--theta-steps", _SMALL), ("--phi-steps", _SMALL), ("--threads", _SMALL)]),
+    "compare": _flags([("--seqs", _lists(_LABELS)), ("--t-list", _lists(_STEPS))],
+                      [("--samples", _SMALL), ("--seed", _SMALL)]),
+    "parrondo": _flags([("--ab", _LABELS), ("--a", _LABELS), ("--b", _LABELS), ("--t", _STEPS)],
+                       [("--samples", _SMALL), ("--seed", _SMALL)]),
+    "search": _flags([("--t", _STEPS)],
+                     [("--alphabet", _LABELS), ("--max-period", st.integers(-1, 3).map(str)),
+                      ("--top", _SMALL), ("--samples", _SMALL), ("--seed", _SMALL)]),
+}
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.sampled_from(sorted(_RUNS)).flatmap(lambda command: _RUNS[command].map(lambda flags: [command, *flags])))
+def test_whole_runs_on_generated_argv_end_cleanly(tmp_path, monkeypatch, argv):
+    # Any command with any of its flags ends in exit 0, 1 or 2, never in a
+    # traceback; a domain error is one "error:" line, and a run that
+    # succeeds prints a manifest comment (CSV) or a JSON object.
+    monkeypatch.chdir(tmp_path)
+    _write_log_csv(tmp_path / "log.csv")
+    (tmp_path / "junk.csv").write_text("t,mean_S\n1,x\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, argv
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    if code == 0:
+        assert out.getvalue().startswith(("# manifest:", "{")), argv

@@ -162,7 +162,7 @@ def test_oracle_matches_simulation_on_sample_points():
     for tag, t in (("XXH", 1), ("XXH", 2), ("XXH", 4), ("XXH", 6), ("H", 1), ("F", 1), ("M", 1)):
         for theta, phi in ((0.4, 1.3), (2.5, 5.9)):
             initial = InitialState(theta, phi)
-            (densities,) = coin_densities([[theta, phi]], parse(tag), t, record_steps=[t])
+            (densities,) = coin_densities([[theta, phi]], parse(tag), [t])
             simulated = schmidt_norm_from(*densities)[0]
             assert simulated == pytest.approx(
                 closed_form_oracle(tag, t, initial), abs=1e-12

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parrondoqw import experiments, output
+from parrondoqw import experiments, output, walk
 from parrondoqw.experiments import (
     _channel_factors,
     _grid_axes,
@@ -28,7 +28,7 @@ SQRT2 = math.sqrt(2.0)
 
 def _stacked_schmidt(states, sequence, steps, record_steps=None):
     """S of every state at the recorded steps, one row per step, from the engine's stream."""
-    densities = coin_densities(states, sequence, steps, record_steps)
+    densities = coin_densities(states, sequence, steps if record_steps is None else record_steps)
     return np.array([schmidt_norm_from(*d) for d in densities])
 
 
@@ -148,15 +148,15 @@ def test_coin_densities_walk_stops_at_the_last_recorded_step(monkeypatch):
     # the last one is walked.
     states = sample_initial_states(300, seed=8)
     full = list(coin_densities(states, parse("MMF"), 40))
-    yields, walk = [], experiments.basis_walk
+    yields, basis_walk = [], walk.basis_walk
 
     def counted(*args):
-        for psi in walk(*args):
+        for psi in basis_walk(*args):
             yields.append(None)
             yield psi
 
-    monkeypatch.setattr(experiments, "basis_walk", counted)
-    subset = list(coin_densities(states, parse("MMF"), 40, [3, 11]))
+    monkeypatch.setattr(walk, "basis_walk", counted)
+    subset = list(coin_densities(states, parse("MMF"), [3, 11]))
     assert len(yields) == 11
     for step, expected in zip(subset, (full[2], full[10]), strict=True):
         for values, reference in zip(step, expected, strict=True):
@@ -192,15 +192,15 @@ def test_coin_densities_at_t_do_not_depend_on_steps():
     states = sample_initial_states(500, seed=4)
     for label in ("MMF", "HXMFMX", "HHH", "FMX", "HFX"):
         for t in (1, 2, 3, 7, 20, 60):
-            (long_walk,) = coin_densities(states, parse(label), 140, [t])
-            (short_walk,) = coin_densities(states, parse(label), t, [t])
+            long_walk, _ = coin_densities(states, parse(label), [t, 140])
+            (short_walk,) = coin_densities(states, parse(label), [t])
             for values, reference in zip(long_walk, short_walk, strict=True):
                 assert np.array_equal(values, reference), (label, t)
 
 
 def test_trajectories_record_steps_validation():
     states = sample_initial_states(2, seed=1)
-    for bad in ([], [0], [3, 2], [1, 11]):
+    for bad in ([], [0], [3, 2]):
         with pytest.raises(ValueError):
             _stacked_schmidt(states, parse("H"), 10, record_steps=bad)
 
@@ -461,7 +461,7 @@ def test_grid_groups_are_bitwise_the_expanded_cells(monkeypatch, label, theta_st
     recorded = [1, 4, 7]
     cells = _expanded_cells(theta_steps, phi_steps)
     expected = [schmidt_norm_from(*d).reshape(theta_steps, phi_steps)
-                for d in coin_densities(cells, parse(label), 7, recorded)]
+                for d in coin_densities(cells, parse(label), recorded)]
     built = _counted_calls(monkeypatch, "_initial_coins")
     theta_axis, phi_axis = _grid_axes(theta_steps, phi_steps)
     seen = []

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from parrondoqw.output import BLOCK_ROWS, _blocks, format_column, read_average_csv, write_csv
+from parrondoqw.cli import read_average_csv
+from parrondoqw.output import BLOCK_ROWS, _blocks, format_column, write_csv
 
 
 def one_value(x):
@@ -42,7 +45,7 @@ def test_format_column_integers_and_strings():
     assert format_column(np.array(ints)) == ["1", "-7", "0", str(2**62)]
     assert format_column(ints) == ["1", "-7", "0", str(2**62)]
     texts = ["XXH", "0.5", "abc"]
-    assert format_column(texts) is texts
+    assert format_column(texts) == texts
     assert format_column([]) == []
 
 
@@ -53,6 +56,11 @@ def test_format_column_integers_and_strings():
 ], ids=["int64", "uint64", "int8"])
 def test_format_column_integer_extremes(ints):
     assert format_column(ints) == [str(i) for i in ints.tolist()]
+
+
+def test_format_column_list_of_str_takes_the_text_rule():
+    # A list holding str is one text column: every cell comes back as str.
+    assert format_column(["x", 1.5]) == ["x", "1.5"]
 
 
 def test_format_column_booleans_print_as_integers():
@@ -115,6 +123,33 @@ def test_write_csv_refuses_a_block_under_other_names(tmp_path, later):
         write_csv(str(out), {}, iter([{"a": [1], "b": [2]}, later]))
 
 
+@pytest.mark.parametrize("later", [{"a": [3]}, {"a": [3], "b": ["4,5"]}, {"a": [3], "b": [4, 5]}],
+                         ids=["other-names", "separator", "ragged"])
+def test_write_csv_refused_later_block_leaves_no_file(tmp_path, later):
+    # The first block is written before a later one is refused: the file
+    # must not stay behind looking like a whole table.
+    out = tmp_path / "partial.csv"
+    with pytest.raises(ValueError):
+        write_csv(str(out), {}, iter([{"a": [1], "b": [2]}, later]))
+    assert not out.exists()
+
+
+def test_write_csv_refused_later_block_leaves_a_fifo_in_place(tmp_path):
+    # Only a regular file is removed: a FIFO (like stdout, a pipe or a
+    # device) stays what it was.  The reader is held open, so the writer's
+    # open does not block and the first block fits the pipe's buffer.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(ValueError):
+            write_csv(str(fifo), {}, iter([{"a": [1], "b": [2]}, {"a": [3]}]))
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(reader, 1024) == b"# manifest: {}\na,b\n1,2\n"
+    finally:
+        os.close(reader)
+
+
 @pytest.mark.parametrize("separator", [",", "\r", "\n", "\0"], ids=["comma", "CR", "LF", "NUL"])
 def test_text_cells_holding_a_separator_are_refused(tmp_path, separator):
     texts = [f"a{separator}b", "c"]
@@ -123,8 +158,9 @@ def test_text_cells_holding_a_separator_are_refused(tmp_path, separator):
         with pytest.raises(ValueError, match="may not hold a comma, CR, LF or NUL"):
             write_csv(str(out), {}, {"x": column, "t": [1, 2]})
         assert not out.exists()
-    with pytest.raises(ValueError, match="may not hold a comma, CR, LF or NUL"):
-        format_column(np.array(texts))
+    for column in texts, np.array(texts):
+        with pytest.raises(ValueError, match="may not hold a comma, CR, LF or NUL"):
+            format_column(column)
 
 
 def written_cells(tmp_path, values):

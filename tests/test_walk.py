@@ -153,7 +153,7 @@ def test_double_x_step_preserves_schmidt_norm():
 
 
 def test_six_xxh_steps_match_paper_value():
-    (densities,) = coin_densities([[math.pi / 2, 0.3]], parse("XXH"), 6, record_steps=[6])
+    (densities,) = coin_densities([[math.pi / 2, 0.3]], parse("XXH"), [6])
     value = schmidt_norm_from(*densities)[0]
     expected = (math.sqrt(5.0) + math.sqrt(3.0)) / (2.0 * SQRT2)
     assert value == pytest.approx(expected, abs=1e-12)
