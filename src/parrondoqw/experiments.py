@@ -10,9 +10,13 @@ for seeded samples, both from one ``_coin_blocks`` list, and ``_grid_groups``
 for the grid of ``grid`` and the phase certificate.  ``_record_steps`` is the
 one rule for the steps they record; ``output._blocks`` cuts every block.
 Each state's values are elementwise arithmetic on its own angles, bitwise
-independent of the rest of the batch.  Randomness enters only through
-``sample_initial_states``, which draws every angle up front from a single
-seeded generator.
+independent of the rest of the batch.  Randomness enters only through one
+seeded stream: the PCG64 stream that numpy's ``SeedSequence(seed)`` seeds,
+which this module computes in numpy integer arithmetic, bitwise
+``default_rng(seed).uniform`` without loading ``numpy.random``.
+``sample_initial_states`` returns its angles whole; ``_sampled_sweep``
+draws each sample block's angles from where the block starts in the stream,
+as it builds that block's coins.
 
 Fairness rule for comparisons: every sampled mean comes from
 ``_sampled_sweep``, which evolves one shared (seed-determined) initial-state
@@ -21,14 +25,16 @@ set under every candidate sequence, never re-sampled per candidate.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
+from . import output
 from .entanglement import MAX_SCHMIDT_NORM, schmidt_norm_from
 from .output import _blocks
 from .sequences import CoinSequence
@@ -116,19 +122,171 @@ class ParrondoReport:
 # ---------------------------------------------------------------------------
 
 
-def sample_initial_states(count: int, seed: int) -> NDArray[np.float64]:
-    """Draw ``count`` initial states as a (count, 2) array of (theta, phi).
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
 
-    theta ~ U[0, pi] and phi ~ U[0, 2pi).  All angles come from one generator
-    seeded with ``seed`` (theta block first, then phi block), so the array is
-    reproducible.
+
+def _hasher(constant: int, multiplier: int):
+    """numpy ``SeedSequence``'s 32-bit hash; its constant is multiplied by ``multiplier`` at every call."""
+
+    def hashed(value: int) -> int:
+        nonlocal constant
+        value ^= constant
+        constant = constant * multiplier & _MASK32
+        value = value * constant & _MASK32
+        return value ^ value >> 16
+
+    return hashed
+
+
+def _mix(x: int, y: int) -> int:
+    """numpy ``SeedSequence``'s mix of a hashed word ``y`` into a pool word ``x``."""
+    result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _seeded_stream(seed: int) -> tuple[int, int]:
+    """``(state, increment)`` of numpy's ``PCG64(SeedSequence(seed))`` before its first output.
+
+    ``SeedSequence`` hashes the seed's 32-bit words, least significant
+    first, into a pool of four, mixes every pool word into every other, then
+    mixes any word past the fourth into each; it hashes the pool out as four
+    64-bit words, two 32-bit words each (low first): the initial state and
+    the sequence, high word first.  ``PCG64`` sets ``increment = 2 *
+    sequence + 1``, steps from 0, adds the initial state and steps again; a
+    step is ``s -> M s + increment mod 2**128``.  The seed is read by
+    ``operator.index``: ``None`` (which would draw from OS entropy), a float
+    or a negative seed is refused.
+    """
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be a non-negative integer, got {seed!r}") from None
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value}")
+    entropy = [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = _mix(pool[target], hashmix(pool[source]))
+    for word in entropy[4:]:
+        for target in range(4):
+            pool[target] = _mix(pool[target], hashmix(word))
+    generate = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = [generate(pool[i % 4]) for i in range(8)]
+    initstate, initseq = ((words[k] | words[k + 1] << 32) << 64 | words[k + 2] | words[k + 3] << 32 for k in (0, 4))
+    increment = 2 * initseq + 1 & _MASK128
+    return (increment + initstate) * _PCG_MULTIPLIER + increment & _MASK128, increment
+
+
+def _advance(state: int, increment: int, steps: int) -> int:
+    """``state`` after ``steps`` steps, in O(log steps): ``s -> a s + c`` twice is ``(a, c) -> (a*a, a*c + c)``."""
+    multiplier, addend = _PCG_MULTIPLIER, increment
+    while steps:
+        if steps & 1:
+            state = multiplier * state + addend & _MASK128
+        multiplier, addend = multiplier * multiplier & _MASK128, multiplier * addend + addend & _MASK128
+        steps >>= 1
+    return state
+
+
+@functools.lru_cache(maxsize=1)
+def _step_tables(rows: int) -> tuple[NDArray[np.uint64], NDArray[np.uint64]]:
+    """32-bit limbs, ``(4, rows)`` each, of ``M**j`` and of ``sum(M**i for i < j)`` mod 2**128, j = 1 ... rows.
+
+    The state j steps on from ``s`` is ``M**j s + increment * sum(M**i for
+    i < j)``.  The tables do not depend on the seed; they are built at the
+    first draw, not at import, and kept read-only for the next.  Each value
+    goes into a byte buffer as it is made, so no list of Python integers is
+    held.
+    """
+    powers, sums = bytearray(), bytearray()
+    power, total = 1, 0
+    for _ in range(rows):
+        power, total = power * _PCG_MULTIPLIER & _MASK128, total + power & _MASK128
+        powers += power.to_bytes(16, "little")
+        sums += total.to_bytes(16, "little")
+    tables = np.frombuffer(powers + sums, "<u4").reshape(2, rows, 4).transpose(0, 2, 1).astype(np.uint64, order="C")
+    tables.flags.writeable = False
+    return tables[0], tables[1]
+
+
+def _add_product(columns: NDArray[np.uint64], table: NDArray[np.uint64], factor: int) -> None:
+    """Add the 32-bit columns of ``table * factor mod 2**128`` into ``columns``, carries left for later.
+
+    A limb product is below 2**64; its low half goes to its column and its
+    high half to the next, so a column gains less than 7 * 2**32 a call.
+    """
+    product = np.empty(table.shape[1], np.uint64)
+    for i in range(4):
+        for j in range(4 - i):
+            np.multiply(table[i], factor >> 32 * j & _MASK32, out=product)
+            if i + j < 3:
+                columns[i + j + 1] += product >> 32
+            product &= _MASK32
+            columns[i + j] += product
+
+
+def _uniforms(stream: tuple[int, int], first: int, count: int, high: float) -> NDArray[np.float64]:
+    """``high`` times the doubles of outputs ``first + 1 ... first + count`` of ``stream``.
+
+    The stream steps, then outputs XSL-RR of the new state, ``rotr64(hi ^ lo,
+    hi >> 58)`` of its 64-bit halves; the double of an output x is ``(x >> 11)
+    * 2**-53``.  ``high`` times it is, bitwise, what ``Generator.uniform(0,
+    high)`` gives.  Each state comes from the state at ``first`` through the
+    two ``_step_tables``; ``count`` is at most ``BLOCK_ROWS``.
+    """
+    state, increment = stream
+    powers, sums = _step_tables(output.BLOCK_ROWS)
+    columns = np.zeros((4, count), np.uint64)
+    _add_product(columns, powers[:, :count], _advance(state, increment, first))
+    _add_product(columns, sums[:, :count], increment)
+    for k in range(3):
+        columns[k + 1] += columns[k] >> 32
+    # A shift by 32 drops the bits that a carry took to the next column.
+    hi = columns[3] << 32 | columns[2] & _MASK32
+    x = hi ^ (columns[1] << 32 | columns[0] & _MASK32)
+    rotation = hi >> 58
+    x = x >> rotation | x << (64 - rotation & 63)
+    return (x >> 11) * (high * 2.0**-53)
+
+
+def _angle_blocks(count: int, seed: int) -> Iterator[tuple[slice, NDArray, NDArray]]:
+    """``(rows, thetas, phis)`` of each ``_blocks`` block of ``count`` seeded states, drawn as it is taken.
+
+    theta of state i is output i + 1 of ``_seeded_stream(seed)`` and phi is
+    output count + i + 1.  The count and the seed are checked at the call,
+    before any block is drawn.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0.0, math.pi, count)
-    phis = rng.uniform(0.0, TWO_PI, count)
-    return np.stack((thetas, phis), axis=1)
+    stream = _seeded_stream(seed)
+    sizes = ((rows, min(rows.stop, count) - rows.start) for rows in _blocks(count))
+    return (
+        (rows, _uniforms(stream, rows.start, size, math.pi), _uniforms(stream, count + rows.start, size, TWO_PI))
+        for rows, size in sizes
+    )
+
+
+def sample_initial_states(count: int, seed: int) -> NDArray[np.float64]:
+    """Draw ``count`` initial states as a (count, 2) array of (theta, phi).
+
+    theta ~ U[0, pi] and phi ~ U[0, 2pi): the thetas, then the phis, of the
+    PCG64 stream that numpy's ``SeedSequence(seed)`` seeds.  The array is
+    bitwise ``default_rng(seed).uniform(0, pi, count)`` and then
+    ``.uniform(0, 2pi, count)``, but the package computes the stream itself
+    and does not load ``numpy.random``, whose ``Generator`` streams NEP 19
+    leaves free to change.  ``seed`` is a non-negative integer, so the array
+    is reproducible.
+    """
+    blocks = _angle_blocks(count, seed)
+    states = np.empty((count, 2))
+    for rows, thetas, phis in blocks:
+        states[rows, 0], states[rows, 1] = thetas, phis
+    return states
 
 
 def _angle_arrays(states) -> tuple[NDArray, NDArray]:
@@ -173,9 +331,9 @@ def _initial_coins(thetas, phases) -> tuple[NDArray, NDArray]:
     return np.cos(thetas / 2.0), phases * np.sin(thetas / 2.0)
 
 
-def _coin_blocks(thetas, phis) -> list[tuple[slice, NDArray, NDArray]]:
-    """``(rows, coin0, coin1)`` of each block of states, so no whole-array temporary is built."""
-    return [(rows, *_initial_coins(thetas[rows], np.exp(1j * phis[rows]))) for rows in _blocks(len(thetas))]
+def _coin_blocks(angle_blocks: Iterable[tuple[slice, NDArray, NDArray]]) -> list[tuple[slice, NDArray, NDArray]]:
+    """``(rows, coin0, coin1)`` of each ``(rows, thetas, phis)`` block, so no whole-array temporary is built."""
+    return [(rows, *_initial_coins(thetas, np.exp(1j * phis))) for rows, thetas, phis in angle_blocks]
 
 
 def coin_densities(states, sequence: CoinSequence, steps: int | Sequence[int]):
@@ -189,7 +347,8 @@ def coin_densities(states, sequence: CoinSequence, steps: int | Sequence[int]):
     alive at a time, so a consumer that reduces each step keeps O(N) memory.
     """
     recorded = _record_steps(steps)
-    coins = _coin_blocks(*_angle_arrays(states))
+    thetas, phis = _angle_arrays(states)
+    coins = _coin_blocks((rows, thetas[rows], phis[rows]) for rows in _blocks(len(thetas)))
     for r in _channel_factors([sequence], recorded)[0]:
         (pop0, pop1), coherence = np.empty((2, len(states))), np.empty(len(states), dtype=complex)
         for rows, coin0, coin1 in coins:
@@ -200,18 +359,25 @@ def coin_densities(states, sequence: CoinSequence, steps: int | Sequence[int]):
 def _sampled_sweep(sequences: Sequence[CoinSequence], recorded: Sequence[int], samples: int, seed: int):
     """Mean and std (ddof=0) of S over one seeded sample set, each ``(len(sequences), len(recorded))``.
 
-    The coins are one ``_coin_blocks`` list from the one seeded draw, which
-    is dropped before the S buffer exists.  Each candidate and recorded step
-    of ``_channel_factors`` is reduced on its own, a coin block at a time,
-    into one ``(samples,)`` buffer of S, whose mean and std are then taken
-    whole.  So the temporaries stay in cache, memory is 40 B a sample, 256 B
-    a candidate and step and O(BLOCK_ROWS), and a candidate's values at t
-    are bitwise those it gets walking alone to t, at any block size.
+    The samples are those of ``sample_initial_states(samples, seed)``: the
+    PCG64 stream that numpy's ``SeedSequence(seed)`` seeds, bitwise
+    ``default_rng(seed).uniform`` without ``numpy.random`` (NEP 19 leaves
+    ``Generator`` streams free to change).  The ``(samples,)`` buffer of S
+    is allocated first, so a count no buffer can hold fails before any
+    draw.  Each block's angles are then drawn from where the block starts in
+    the stream and made into that block's coins, one ``_coin_blocks`` list;
+    no ``(samples, 2)`` angle array is built.  Each candidate and recorded
+    step of ``_channel_factors`` is reduced on its own, a coin block at a
+    time, into the buffer of S, whose mean and std are then taken whole.  So
+    the temporaries stay in cache, memory is 32 B a sample, 256 B a
+    candidate and step and O(BLOCK_ROWS), and a candidate's values at t are
+    bitwise those it gets walking alone to t, at any block size.
     """
-    coins = _coin_blocks(*sample_initial_states(samples, seed).T)
+    blocks = _angle_blocks(samples, seed)
+    values = np.empty(samples)
+    coins = _coin_blocks(blocks)
     factors = _channel_factors(sequences, recorded)
     mean_s, std_s = np.empty((2, *factors.shape[:2]))
-    values = np.empty(samples)
     for index in np.ndindex(factors.shape[:2]):
         for rows, coin0, coin1 in coins:
             values[rows] = schmidt_norm_from(*_channel_reduction(factors[index], coin0, coin1))

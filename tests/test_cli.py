@@ -660,13 +660,18 @@ def test_grid_output_memory_does_not_grow_with_the_grid():
     # 2**63 samples on a grid axis: np.linspace cannot build that axis.
     ["grid", "--seq", "HHH", "--t", "3", "--theta-steps", str(2**63)],
     ["grid", "--seq", "HHH", "--t", "3", "--phi-steps", str(2**63)],
-    # Samples no draw can hold: 72.8 TiB of angles, and more than numpy sizes.
+    # Samples no buffer of S can hold: 72.8 TiB, and more than numpy sizes.
+    # The sweep allocates that buffer before it draws its first block.
     ["average", "--seq", "H", "--steps", "3", "--samples", "10000000000000"],
+    ["average", "--seq", "H", "--steps", "3", "--samples", str(2**63)],
+    ["compare", "--seqs", "H,X", "--t-list", "3", "--samples", str(2**63)],
     ["search", "--max-period", "2", "--t", "3", "--samples", str(2**63)],
+    ["parrondo", "--ab", "XXH", "--a", "X", "--b", "H", "--t", "3", "--samples", str(2**63)],
 ], ids=["grid", "average", "trace", "compare", "search", "parrondo",
         "average-2^63", "trace-2^63", "compare-2^63", "grid-2^63",
         "grid-theta-steps-2^63", "grid-phi-steps-2^63",
-        "average-samples", "search-samples-2^63"])
+        "average-samples", "average-samples-2^63", "compare-samples-2^63",
+        "search-samples-2^63", "parrondo-samples-2^63"])
 def test_oversized_walk_is_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert run(*argv, "--out", out) == 1

@@ -1,8 +1,10 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from parrondoqw import experiments, output, walk
 from parrondoqw.experiments import (
@@ -69,6 +71,71 @@ def test_sampling_mean_theta_matches_uniform_moments():
 def test_sampling_rejects_bad_count():
     with pytest.raises(ValueError):
         sample_initial_states(0, seed=1)
+
+
+@pytest.mark.parametrize("seed, error", [(None, TypeError), (1.5, TypeError), (-1, ValueError)])
+def test_sampling_refuses_a_seed_that_is_not_a_non_negative_integer(seed, error):
+    # None would draw from OS entropy, which no later run can reproduce.
+    message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+    with pytest.raises(error, match=message):
+        sample_initial_states(2, seed)
+    with pytest.raises(error, match=message):
+        average_schmidt(parse("H"), 2, 2, seed)
+
+
+# SeedSequence reads a seed as 32-bit words: one, two, three and four words,
+# and more words than its pool of four (10**40 has five, 7**100 nine).
+_ORACLE_SEEDS = [*range(300), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**127 + 12345, 10**40, 7**100]
+
+
+def _numpy_draw(count, seed):
+    """The angles numpy.random draws: ``default_rng(seed)``'s theta block, then its phi block."""
+    rng = default_rng(seed)
+    return np.stack((rng.uniform(0.0, math.pi, count), rng.uniform(0.0, 2 * math.pi, count)), axis=1)
+
+
+def test_sampling_is_numpys_pcg64_stream_bitwise():
+    for seed in _ORACLE_SEEDS:
+        for count in (1, 2, 3, 5, 127, 128, 129, 1000):
+            assert sample_initial_states(count, seed).tobytes() == _numpy_draw(count, seed).tobytes(), (seed, count)
+    # 16,384 and 100,000 samples take 4 and 25 blocks of BLOCK_ROWS.
+    for count in (500, 2500, 16384, 100_000):
+        assert sample_initial_states(count, 7).tobytes() == _numpy_draw(count, 7).tobytes(), count
+    assert np.array_equal(sample_initial_states(3, np.uint64(2**64 - 1)), _numpy_draw(3, 2**64 - 1))
+
+
+def test_blocked_draws_start_anywhere_in_the_stream(monkeypatch):
+    # A block's angles are drawn from where the block starts in the stream:
+    # from outputs 0, 1, n - 3, n and 2n they are numpy's draw, sliced.
+    # Under a patched BLOCK_ROWS the sweep's blocks, a partial last block
+    # included, join into the whole draw.
+    n = output.BLOCK_ROWS
+    stream = experiments._seeded_stream(11)
+    for first in (0, 1, n - 3, n, 2 * n):
+        for count in (1, 5, n):
+            expected = default_rng(11).uniform(0.0, math.pi, first + count)[first:]
+            assert experiments._uniforms(stream, first, count, math.pi).tobytes() == expected.tobytes()
+    monkeypatch.setattr(output, "BLOCK_ROWS", 1000)
+    blocks = list(experiments._angle_blocks(2500, 11))
+    assert [(rows.start, len(thetas), len(phis)) for rows, thetas, phis in blocks] == [
+        (0, 1000, 1000), (1000, 1000, 1000), (2000, 500, 500)]
+    joined = np.concatenate([np.stack((thetas, phis), axis=1) for _, thetas, phis in blocks])
+    assert joined.tobytes() == _numpy_draw(2500, 11).tobytes()
+
+
+def test_draw_memory_is_one_block():
+    # 100,000 samples of angles would take 1.5 MiB; the blocks hold one
+    # BLOCK_ROWS block of angles and the stream's limb arithmetic at a time.
+    # The first, small draw builds the step tables, kept for the next.
+    list(experiments._angle_blocks(10, 1))
+    tracemalloc.start()
+    try:
+        for _ in experiments._angle_blocks(100_000, 1):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
